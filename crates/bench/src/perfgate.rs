@@ -12,6 +12,12 @@
 //! a floor (default 50µs — sub-floor stages are timer noise). A stage
 //! present in the baseline but missing from the current run is a failure
 //! too: a silently dropped stage must not read as "infinitely faster".
+//!
+//! Only latency histograms are gated. `pipeline_profile` digests every
+//! telemetry histogram, including value histograms such as
+//! `edm_core_member_esp_micro` (ESP ×10⁶); a "slower" value there is a
+//! quality change, not a regression. Latency histograms are the ones
+//! named in microseconds (`_us`), per the telemetry naming convention.
 
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +113,8 @@ impl std::fmt::Display for Regression {
 /// Returns every baseline stage whose current mean exceeds
 /// `baseline mean × tolerance`, or which is missing from `current`.
 /// Baseline stages with a mean below `min_mean_us` are skipped (too fast
-/// to measure reliably), as are stages with zero observations. Stages
+/// to measure reliably), as are stages with zero observations and stages
+/// that are not latency histograms (name not ending in `_us`). Stages
 /// that appear only in `current` are ignored — new instrumentation must
 /// not fail the gate until a refreshed baseline covers it.
 pub fn compare(
@@ -118,7 +125,7 @@ pub fn compare(
 ) -> Vec<Regression> {
     let mut regressions = Vec::new();
     for base in &baseline.stages {
-        if base.count == 0 || base.mean_us < min_mean_us {
+        if base.count == 0 || base.mean_us < min_mean_us || !is_latency(&base.name) {
             continue;
         }
         match current.stages.iter().find(|s| s.name == base.name) {
@@ -138,6 +145,11 @@ pub fn compare(
         }
     }
     regressions
+}
+
+/// Whether a stage histogram records a latency (µs) rather than a value.
+fn is_latency(name: &str) -> bool {
+    name.ends_with("_us")
 }
 
 #[cfg(test)]
@@ -165,14 +177,14 @@ mod tests {
 
     #[test]
     fn identical_profiles_pass() {
-        let base = doc(vec![stage("a", 1000.0), stage("b", 200.0)]);
+        let base = doc(vec![stage("a_us", 1000.0), stage("b_us", 200.0)]);
         assert!(compare(&base, &base.clone(), DEFAULT_TOLERANCE, DEFAULT_MIN_MEAN_US).is_empty());
     }
 
     #[test]
     fn within_tolerance_passes() {
-        let base = doc(vec![stage("a", 1000.0)]);
-        let current = doc(vec![stage("a", 1240.0)]);
+        let base = doc(vec![stage("a_us", 1000.0)]);
+        let current = doc(vec![stage("a_us", 1240.0)]);
         assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
     }
 
@@ -180,18 +192,18 @@ mod tests {
     fn inflated_current_fails() {
         // The acceptance check: feeding the gate a current run slower than
         // tolerance allows must produce a regression verdict.
-        let base = doc(vec![stage("a", 1000.0), stage("b", 400.0)]);
-        let current = doc(vec![stage("a", 1300.0), stage("b", 410.0)]);
+        let base = doc(vec![stage("a_us", 1000.0), stage("b_us", 400.0)]);
+        let current = doc(vec![stage("a_us", 1300.0), stage("b_us", 410.0)]);
         let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "a");
+        assert_eq!(regs[0].name, "a_us");
         assert_eq!(regs[0].current_mean_us, Some(1300.0));
         assert!(regs[0].to_string().contains("1.30x"), "{}", regs[0]);
     }
 
     #[test]
     fn missing_stage_fails() {
-        let base = doc(vec![stage("a", 1000.0)]);
+        let base = doc(vec![stage("a_us", 1000.0)]);
         let current = doc(vec![]);
         let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
         assert_eq!(regs.len(), 1);
@@ -201,15 +213,15 @@ mod tests {
 
     #[test]
     fn new_stage_in_current_is_ignored() {
-        let base = doc(vec![stage("a", 1000.0)]);
-        let current = doc(vec![stage("a", 1000.0), stage("new", 9999.0)]);
+        let base = doc(vec![stage("a_us", 1000.0)]);
+        let current = doc(vec![stage("a_us", 1000.0), stage("new_us", 9999.0)]);
         assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
     }
 
     #[test]
     fn sub_floor_stages_are_not_gated() {
-        let base = doc(vec![stage("tiny", 10.0)]);
-        let current = doc(vec![stage("tiny", 500.0)]);
+        let base = doc(vec![stage("tiny_us", 10.0)]);
+        let current = doc(vec![stage("tiny_us", 500.0)]);
         // 50x slower, but under the 50µs floor: timer noise, not a verdict.
         assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
         // Lowering the floor exposes it.
@@ -218,15 +230,15 @@ mod tests {
 
     #[test]
     fn tolerance_is_tunable() {
-        let base = doc(vec![stage("a", 1000.0)]);
-        let current = doc(vec![stage("a", 1800.0)]);
+        let base = doc(vec![stage("a_us", 1000.0)]);
+        let current = doc(vec![stage("a_us", 1800.0)]);
         assert_eq!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).len(), 1);
         assert!(compare(&base, &current, 2.0, DEFAULT_MIN_MEAN_US).is_empty());
     }
 
     #[test]
     fn zero_count_stages_are_skipped() {
-        let mut s = stage("idle", 5000.0);
+        let mut s = stage("idle_us", 5000.0);
         s.count = 0;
         let base = doc(vec![s]);
         let current = doc(vec![]);
@@ -234,12 +246,37 @@ mod tests {
     }
 
     #[test]
+    fn value_histograms_are_not_gated() {
+        // ESP ×10⁶ doubling is a quality gain, not a slowdown; missing
+        // value histograms are not failures either.
+        let base = doc(vec![stage("edm_core_member_esp_micro", 350_277.0)]);
+        let current = doc(vec![stage("edm_core_member_esp_micro", 700_554.0)]);
+        assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
+        assert!(compare(&base, &doc(vec![]), 1.25, DEFAULT_MIN_MEAN_US).is_empty());
+    }
+
+    #[test]
+    fn slower_latency_stage_still_fails_next_to_value_stages() {
+        let base = doc(vec![
+            stage("edm_core_execute_us", 1000.0),
+            stage("edm_core_member_top_prob_micro", 167_053.0),
+        ]);
+        let current = doc(vec![
+            stage("edm_core_execute_us", 1300.0),
+            stage("edm_core_member_top_prob_micro", 334_106.0),
+        ]);
+        let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].name, "edm_core_execute_us");
+    }
+
+    #[test]
     fn document_round_trips_through_json() {
-        let base = doc(vec![stage("a", 123.4)]);
+        let base = doc(vec![stage("a_us", 123.4)]);
         let json = serde_json::to_string(&base).unwrap();
         let back = PipelineBench::from_json(&json).unwrap();
         assert_eq!(back.stages.len(), 1);
-        assert_eq!(back.stages[0].name, "a");
+        assert_eq!(back.stages[0].name, "a_us");
         assert!((back.stages[0].mean_us - 123.4).abs() < 1e-9);
         assert_eq!(back.shots, 4096);
     }

@@ -41,6 +41,14 @@
 //! and is bit-identical across thread counts (DESIGN.md §7); the draw
 //! *schedule* differs from pre-compile-era versions of this crate, which
 //! only re-rolls which equally-distributed histogram a given seed labels.
+//!
+//! A shot whose first event fires at step `k` shares its whole prefix up to
+//! `k` with the clean trajectory. Compilation therefore also keeps copies
+//! of the clean state at every ⌈√ops⌉-th fused-op boundary (bounded by
+//! `CHECKPOINT_AMP_CAP` amplitudes per plan), and a fired-error shot
+//! resumes from the last checkpoint before its first event instead of
+//! replaying from |0…0⟩. The resumed amplitudes are the very floats the
+//! from-zero walk would reach there, so histograms are bit-identical.
 
 use crate::complex::C64;
 use crate::counts::Counts;
@@ -153,6 +161,12 @@ const MAX_EVENT_PROB: f64 = 1.0 - 1e-9;
 /// allocation, O(1) record) when the classical register has at most this
 /// many bits; wider registers fall back to direct `Counts` recording.
 const DENSE_HIST_BITS: u32 = 12;
+
+/// Upper bound on the total amplitudes one plan keeps in clean-prefix
+/// checkpoints (2^16 amplitudes = 1 MiB). States wider than 16 qubits get
+/// no checkpoints; narrower ones get fewer when the √ops stride would
+/// exceed the bound.
+const CHECKPOINT_AMP_CAP: usize = 1 << 16;
 
 impl<'a> NoisySimulator<'a> {
     /// Creates a simulator over an explicit topology and noise parameters.
@@ -332,8 +346,10 @@ impl<'a> NoisySimulator<'a> {
 
         let fused = fuse::fuse(&prims);
         let survival = lut.survival();
+        let num_dense_qubits = active.len() as u32;
+        let stride = checkpoint_stride(fused.len(), num_dense_qubits);
         let mut plan = CompiledCircuit {
-            num_dense_qubits: active.len() as u32,
+            num_dense_qubits,
             num_clbits: circuit.num_clbits(),
             prims,
             fused,
@@ -344,12 +360,27 @@ impl<'a> NoisySimulator<'a> {
             measurements,
             readout: self.options.readout_error,
             clean_cum: Vec::new(),
+            checkpoints: Vec::new(),
+            checkpoint_amps: Vec::new(),
         };
 
         // Coherent-only reference distribution: computed once here, reused
-        // for every shot in which no stochastic event fires.
+        // for every shot in which no stochastic event fires. The same walk
+        // snapshots the clean prefix at every `stride`-th op boundary —
+        // exactly the states (and floats) a fired-error shot's from-zero
+        // walk reaches there before its first event.
         let mut amps = Vec::new();
-        plan.run_trajectory_into(&[], &mut amps);
+        reset_zero(&mut amps, num_dense_qubits);
+        for (i, f) in plan.fused.iter().enumerate() {
+            if stride.is_some_and(|s| i > 0 && i % s == 0) {
+                plan.checkpoints.push(Checkpoint {
+                    op: i,
+                    min_step: plan.fused[i - 1].last_step,
+                });
+                plan.checkpoint_amps.extend_from_slice(&amps);
+            }
+            apply_prim(&mut amps, &f.op);
+        }
         let mut acc = 0.0;
         plan.clean_cum = amps
             .iter()
@@ -419,6 +450,53 @@ pub struct CompiledCircuit {
     readout: bool,
     /// Cumulative probabilities of the coherent-only ("clean") state.
     clean_cum: Vec<f64>,
+    /// Clean-prefix resume points, in op (and `min_step`) order.
+    checkpoints: Vec<Checkpoint>,
+    /// The checkpointed clean states, concatenated: checkpoint `c` owns
+    /// amplitudes `c·2^n .. (c+1)·2^n`.
+    checkpoint_amps: Vec<C64>,
+}
+
+/// A clean-prefix resume point: the coherent-only state just before
+/// `fused[op]`.
+#[derive(Debug, Clone, Copy)]
+struct Checkpoint {
+    /// Fused-op index the trajectory resumes at.
+    op: usize,
+    /// Smallest first-fired step that may resume here:
+    /// `fused[op - 1].last_step` (inclusive). A Pauli at an earlier step
+    /// would have been applied before, or spliced into, one of the skipped
+    /// ops.
+    min_step: u32,
+}
+
+/// The fused-op stride between checkpoints for a plan of `ops` fused ops
+/// on `qubits` dense qubits: ⌈√ops⌉, widened so that at most
+/// [`CHECKPOINT_AMP_CAP`] amplitudes are kept. `None` when even one
+/// checkpoint would exceed the cap.
+fn checkpoint_stride(ops: usize, qubits: u32) -> Option<usize> {
+    let max_checkpoints = CHECKPOINT_AMP_CAP.checked_shr(qubits).unwrap_or(0);
+    if max_checkpoints == 0 {
+        return None;
+    }
+    // Checkpoints sit at the multiples of the stride inside `1..ops`:
+    // at most ⌈ops/stride⌉ − 1 ≤ max_checkpoints of them.
+    let sqrt = (ops as f64).sqrt().ceil() as usize;
+    Some(sqrt.max(ops.div_ceil(max_checkpoints + 1)).max(1))
+}
+
+/// Exact work done by one [`CompiledCircuit::run_into`] call.
+///
+/// Both counts are deterministic functions of `(plan, shots, seed)`, so
+/// they sum to the same totals for any thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShotWork {
+    /// Shots that ran a trajectory (at least one event fired) instead of
+    /// sampling the cached clean distribution.
+    pub replayed_shots: u64,
+    /// Fused ops those trajectories skipped by resuming from a clean-prefix
+    /// checkpoint.
+    pub skipped_ops: u64,
 }
 
 impl CompiledCircuit {
@@ -448,10 +526,17 @@ impl CompiledCircuit {
         self.prims.len()
     }
 
+    /// Number of clean-prefix checkpoints fired-error shots can resume
+    /// from (zero for plans too short or too wide to keep any).
+    pub fn num_checkpoints(&self) -> usize {
+        self.checkpoints.len()
+    }
+
     /// Runs `shots` trials with the given seed, accumulating outcomes into
     /// `counts`. Deterministic for a fixed `(plan, shots, seed)`;
     /// histograms produced this way are exactly what
-    /// [`NoisySimulator::run`] returns for the same arguments.
+    /// [`NoisySimulator::run`] returns for the same arguments. Returns the
+    /// call's exact trajectory work (equally deterministic).
     ///
     /// `scratch` provides the working buffers (state vector, fired-event
     /// list, dense histogram). After the buffers have grown to this plan's
@@ -465,7 +550,13 @@ impl CompiledCircuit {
     ///
     /// Panics if `counts` was created with a different classical-register
     /// width than the compiled circuit's.
-    pub fn run_into(&self, shots: u64, seed: u64, scratch: &mut SimScratch, counts: &mut Counts) {
+    pub fn run_into(
+        &self,
+        shots: u64,
+        seed: u64,
+        scratch: &mut SimScratch,
+        counts: &mut Counts,
+    ) -> ShotWork {
         assert_eq!(
             counts.num_clbits(),
             self.num_clbits,
@@ -478,13 +569,16 @@ impl CompiledCircuit {
             scratch.hist.resize(hist_len, 0);
         }
 
+        let mut work = ShotWork::default();
         for _ in 0..shots {
             scratch.fired.clear();
             self.sample_events(&mut rng, &mut scratch.fired);
             let basis = if scratch.fired.is_empty() {
                 sample_cumulative(&self.clean_cum, &mut rng)
             } else {
-                self.run_trajectory_into(&scratch.fired, &mut scratch.amps);
+                work.replayed_shots += 1;
+                work.skipped_ops +=
+                    self.run_trajectory_into(&scratch.fired, &mut scratch.amps) as u64;
                 sample_kernel(&scratch.amps, &mut rng)
             };
             let mut key = 0u64;
@@ -513,6 +607,7 @@ impl CompiledCircuit {
                 }
             }
         }
+        work
     }
 
     /// Draws this shot's fired-event set by skip sampling over the
@@ -564,7 +659,14 @@ impl CompiledCircuit {
     }
 
     /// Runs one trajectory with the given fired Paulis (step-sorted) into
-    /// `amps`, reusing its capacity.
+    /// `amps`, reusing its capacity, and returns the number of fused ops
+    /// skipped by resuming from a checkpoint.
+    ///
+    /// The walk starts from the last checkpoint whose `min_step` is at or
+    /// before the first fired step (or from |0…0⟩ when none qualifies):
+    /// every skipped op ends at or before that step, so from zero it would
+    /// have run unsplit with no Pauli applied — the checkpoint holds
+    /// exactly its result.
     ///
     /// Fast path: walk the fused stream, applying pending Paulis whose
     /// step precedes each op's span. A Pauli landing strictly inside a
@@ -572,10 +674,27 @@ impl CompiledCircuit {
     /// unfused primitive range with exact step interleaving; Paulis at a
     /// step apply after *all* primitives of that step, exactly as the
     /// unfused executor ordered them.
-    fn run_trajectory_into(&self, fired: &[FiredPauli], amps: &mut Vec<C64>) {
-        reset_zero(amps, self.num_dense_qubits);
+    fn run_trajectory_into(&self, fired: &[FiredPauli], amps: &mut Vec<C64>) -> usize {
+        let resume = fired.first().and_then(|first| {
+            let c = self
+                .checkpoints
+                .partition_point(|cp| cp.min_step <= first.step);
+            c.checked_sub(1)
+        });
+        let start = match resume {
+            Some(c) => {
+                let dim = 1usize << self.num_dense_qubits;
+                amps.clear();
+                amps.extend_from_slice(&self.checkpoint_amps[c * dim..(c + 1) * dim]);
+                self.checkpoints[c].op
+            }
+            None => {
+                reset_zero(amps, self.num_dense_qubits);
+                0
+            }
+        };
         let mut fi = 0;
-        for f in &self.fused {
+        for f in &self.fused[start..] {
             while fi < fired.len() && fired[fi].step < f.first_step {
                 apply_pauli(amps, fired[fi]);
                 fi += 1;
@@ -596,6 +715,7 @@ impl CompiledCircuit {
             apply_pauli(amps, fired[fi]);
             fi += 1;
         }
+        start
     }
 
     /// The coherent-only ("clean") trajectory as a state vector — the
@@ -1161,5 +1281,246 @@ mod tests {
             acc += p;
             assert!((acc - c).abs() < 1e-12);
         }
+    }
+}
+
+/// Clean-prefix checkpoints: resuming must be bitwise invisible. Tiny
+/// circuits and few cases keep this module cheap enough for Miri.
+#[cfg(test)]
+mod checkpoint {
+    use super::*;
+    use qdevice::presets;
+    use rand::Rng;
+
+    const CASES: u64 = if cfg!(miri) { 4 } else { 64 };
+
+    fn device(qubits: u32) -> DeviceModel {
+        DeviceModel::synthesize(presets::line(qubits), 7)
+    }
+
+    /// A random basis circuit on a line: single-qubit gates that tend to
+    /// repeat on one qubit (so fusion builds multi-step spans) and CXs on
+    /// neighboring pairs.
+    fn random_circuit(rng: &mut ChaCha8Rng, qubits: u32, gates: usize) -> Circuit {
+        let mut c = Circuit::new(qubits, qubits);
+        let mut q = 0;
+        for _ in 0..gates {
+            if qubits > 1 && rng.gen_bool(0.25) {
+                let a = rng.gen_range(0..qubits - 1);
+                if rng.gen_bool(0.5) {
+                    c.cx(a, a + 1);
+                } else {
+                    c.cx(a + 1, a);
+                }
+                continue;
+            }
+            if rng.gen_bool(0.4) {
+                q = rng.gen_range(0..qubits);
+            }
+            let theta = rng.gen_range(-3.0..3.0);
+            match rng.gen_range(0..5) {
+                0 => c.rx(q, theta),
+                1 => c.ry(q, theta),
+                2 => c.rz(q, theta),
+                3 => c.h(q),
+                _ => c.t(q),
+            };
+        }
+        c.measure_all();
+        c
+    }
+
+    fn compile(circuit: &Circuit) -> CompiledCircuit {
+        let d = device(circuit.num_qubits().max(2));
+        NoisySimulator::from_device(&d).compile(circuit).unwrap()
+    }
+
+    fn without_checkpoints(plan: &CompiledCircuit) -> CompiledCircuit {
+        let mut bare = plan.clone();
+        bare.checkpoints.clear();
+        bare.checkpoint_amps.clear();
+        bare
+    }
+
+    fn pauli(step: u32, qubit: u32, pauli: Pauli) -> FiredPauli {
+        FiredPauli {
+            step,
+            bit: 1 << qubit,
+            pauli,
+        }
+    }
+
+    /// Runs `fired` on `plan` and on its checkpoint-free twin, asserts the
+    /// states agree bit for bit, and returns the ops the plan skipped.
+    fn assert_resumes_exactly(plan: &CompiledCircuit, fired: &[FiredPauli]) -> usize {
+        let (mut resumed, mut replayed) = (Vec::new(), Vec::new());
+        let skipped = plan.run_trajectory_into(fired, &mut resumed);
+        assert_eq!(
+            without_checkpoints(plan).run_trajectory_into(fired, &mut replayed),
+            0
+        );
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+        };
+        assert_eq!(bits(&resumed), bits(&replayed), "fired {fired:?}");
+        skipped
+    }
+
+    #[test]
+    fn random_plans_resume_bit_identically() {
+        let mut resumed_any = false;
+        for case in 0..CASES {
+            let mut rng = ChaCha8Rng::seed_from_u64(case);
+            let qubits = rng.gen_range(1..=4);
+            let gates = rng.gen_range(0..48);
+            let plan = compile(&random_circuit(&mut rng, qubits, gates));
+            let steps = gates.max(1) as u32;
+            for _ in 0..8 {
+                let mut fired: Vec<FiredPauli> = (0..rng.gen_range(1..=3))
+                    .map(|_| {
+                        let q = rng.gen_range(0..plan.num_dense_qubits.max(1));
+                        pauli(rng.gen_range(0..steps), q, PAULIS[rng.gen_range(0..3usize)])
+                    })
+                    .collect();
+                fired.sort_by_key(|f| f.step);
+                resumed_any |= assert_resumes_exactly(&plan, &fired) > 0;
+            }
+        }
+        assert!(resumed_any, "no random case exercised a checkpoint");
+    }
+
+    /// Runs of three rotations on each qubit between CXs, with the
+    /// correlated decorations off so the fused stream is exactly
+    /// `[span(q0), span(q1), cx]` per round: 24 ops at stride 5, so
+    /// multi-step spans end right at checkpoints 5, 10 and 20.
+    fn span_plan() -> CompiledCircuit {
+        let mut c = Circuit::new(2, 2);
+        for i in 0..8 {
+            let theta = 0.3 + 0.1 * i as f64;
+            c.rx(0, theta).rz(0, 0.7).ry(0, -0.4);
+            c.ry(1, theta).rx(1, -0.2).rz(1, 0.9);
+            c.cx(0, 1);
+        }
+        c.measure_all();
+        let d = device(2);
+        let plan = NoisySimulator::from_device(&d)
+            .with_options(SimOptions::iid_only())
+            .compile(&c)
+            .unwrap();
+        assert_eq!(plan.num_fused_ops(), 24);
+        plan
+    }
+
+    #[test]
+    fn first_event_exactly_at_a_checkpoint_step_resumes_there() {
+        let plan = span_plan();
+        assert_eq!(plan.num_checkpoints(), 4);
+        for (c, cp) in plan.checkpoints.iter().enumerate() {
+            // The last checkpoint sharing this `min_step` is the one chosen.
+            let chosen = plan.checkpoints[c..]
+                .iter()
+                .take_while(|later| later.min_step == cp.min_step)
+                .last()
+                .unwrap();
+            let fired = [
+                pauli(cp.min_step, 0, Pauli::X),
+                pauli(cp.min_step + 2, 1, Pauli::Z),
+            ];
+            assert_eq!(assert_resumes_exactly(&plan, &fired), chosen.op);
+            if cp.min_step > 0 {
+                // One step earlier may not use this checkpoint.
+                let fired = [pauli(cp.min_step - 1, 1, Pauli::Y)];
+                assert!(assert_resumes_exactly(&plan, &fired) < cp.op);
+            }
+        }
+    }
+
+    #[test]
+    fn events_inside_spans_around_a_checkpoint_replay_exactly() {
+        let plan = span_plan();
+        let mut straddled = 0;
+        for cp in &plan.checkpoints {
+            let before = &plan.fused[cp.op - 1];
+            let after = &plan.fused[cp.op];
+            straddled += usize::from(before.first_step < before.last_step);
+            for step in before.first_step..=after.last_step {
+                for pauli_kind in PAULIS {
+                    let fired = [pauli(step, 0, pauli_kind), pauli(step, 1, Pauli::X)];
+                    let skipped = assert_resumes_exactly(&plan, &fired);
+                    if step < before.last_step {
+                        // Inside the span that ends at the checkpoint: the
+                        // span must be replayed, so resumption stops short.
+                        assert!(skipped < cp.op);
+                    }
+                }
+            }
+        }
+        assert!(straddled > 0, "no multi-step span ends at a checkpoint");
+    }
+
+    #[test]
+    fn plans_shorter_than_one_stride_and_empty_plans_run_from_zero() {
+        let mut empty = Circuit::new(2, 2);
+        empty.measure_all();
+        let mut one = Circuit::new(2, 2);
+        one.h(0).t(0).measure_all();
+        let mut two = Circuit::new(2, 2);
+        two.h(0).x(1).measure_all();
+        for (circuit, ops) in [(empty, 0), (one, 1), (two, 2)] {
+            let plan = compile(&circuit);
+            assert_eq!(plan.num_fused_ops(), ops);
+            assert_eq!(plan.num_checkpoints(), 0);
+            for step in 0..=ops as u32 {
+                let fired = [pauli(step, 0, Pauli::Y)];
+                assert_eq!(assert_resumes_exactly(&plan, &fired), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn histograms_and_replay_counts_ignore_checkpoints() {
+        let plan = span_plan();
+        let bare = without_checkpoints(&plan);
+        let shots = if cfg!(miri) { 16 } else { 2048 };
+        let (mut a, mut b) = (Counts::new(2), Counts::new(2));
+        let work = plan.run_into(shots, 5, &mut SimScratch::new(), &mut a);
+        let bare_work = bare.run_into(shots, 5, &mut SimScratch::new(), &mut b);
+        assert_eq!(a, b);
+        assert_eq!(work.replayed_shots, bare_work.replayed_shots);
+        assert!(work.replayed_shots <= shots);
+        assert_eq!(bare_work.skipped_ops, 0);
+        assert!(work.skipped_ops > 0);
+    }
+
+    #[test]
+    fn stride_keeps_every_plan_under_the_amplitude_cap() {
+        for qubits in 0..=20u32 {
+            for ops in [0usize, 1, 2, 3, 10, 100, 1_000, 100_000] {
+                let kept =
+                    checkpoint_stride(ops, qubits).map_or(0, |s| (s..ops).step_by(s).count());
+                assert!(kept << qubits <= CHECKPOINT_AMP_CAP, "{qubits}q {ops} ops");
+                if qubits <= 8 && ops <= 1_000 {
+                    // The cap does not bind: the plain ⌈√ops⌉ stride.
+                    let sqrt = (ops as f64).sqrt().ceil() as usize;
+                    assert_eq!(checkpoint_stride(ops, qubits), Some(sqrt.max(1)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "wide state vectors are too slow under Miri")]
+    fn wide_plans_stay_under_the_amplitude_cap() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        // 12 qubits: the cap allows 16 checkpoints, fewer than √ops.
+        let plan = compile(&random_circuit(&mut rng, 12, 1_200));
+        assert!(plan.num_checkpoints() > 0);
+        assert!(plan.checkpoint_amps.len() <= CHECKPOINT_AMP_CAP);
+        assert_eq!(plan.checkpoint_amps.len(), plan.num_checkpoints() << 12);
+        // 17 qubits: one checkpoint alone would exceed the cap.
+        let plan = compile(&random_circuit(&mut rng, 17, 40));
+        assert_eq!(plan.num_dense_qubits, 17);
+        assert_eq!(plan.num_checkpoints(), 0);
+        assert!(plan.checkpoint_amps.is_empty());
     }
 }

@@ -173,6 +173,16 @@ impl NoisySimulator<'_> {
             "edm_qsim_slice_us",
             "Wall time of one shot slice on a pool worker"
         );
+        // Work counters are bumped once per slice from the slice's own
+        // `ShotWork` tally, never per shot.
+        let replayed = edm_telemetry::counter!(
+            "edm_qsim_replayed_shots_total",
+            "Shots that ran a trajectory instead of sampling the clean distribution"
+        );
+        let skipped = edm_telemetry::counter!(
+            "edm_qsim_resumed_ops_skipped_total",
+            "Fused ops skipped by resuming trajectories from clean-prefix checkpoints"
+        );
 
         // Compile each job exactly once; every slice shares the plan. A
         // job that fails validation is reported per slice below, matching
@@ -194,14 +204,16 @@ impl NoisySimulator<'_> {
                     (edm_telemetry::enabled() && trace.is_traced()).then(std::time::Instant::now);
                 let result = slice_hist.time(|| {
                     let mut counts = Counts::new(plan.num_clbits());
-                    SCRATCH.with(|scratch| {
+                    let work = SCRATCH.with(|scratch| {
                         plan.run_into(
                             n,
                             rngstream::fork(jobs[j].seed, s),
                             &mut scratch.borrow_mut(),
                             &mut counts,
-                        );
+                        )
                     });
+                    replayed.add(work.replayed_shots);
+                    skipped.add(work.skipped_ops);
                     Ok(counts)
                 });
                 if let Some(started) = started {

@@ -3,7 +3,8 @@
 //! A counting `#[global_allocator]` wraps the system allocator; the test
 //! warms a [`qsim::SimScratch`] + `Counts` pair with one run and then
 //! repeats the identical run, asserting that not a single heap allocation
-//! happens during the repeat. This is the whole file on purpose: the
+//! happens during the repeat — including shots that resume from a
+//! clean-prefix checkpoint. This is the whole file on purpose: the
 //! global allocator hook is process-wide, so the test binary holds exactly
 //! one test and no test-harness concurrency can pollute the counter.
 
@@ -45,8 +46,16 @@ fn steady_state_shot_loop_does_not_allocate() {
     let device = DeviceModel::synthesize(presets::melbourne14(), 42);
     let sim = NoisySimulator::from_device(&device);
     let mut c = Circuit::new(3, 3);
-    c.h(0).cx(0, 1).t(1).h(2).cx(1, 2).measure_all();
+    c.h(0).cx(0, 1).t(1).h(2).cx(1, 2);
+    // Long enough for clean-prefix checkpoints, so fired-error shots
+    // resume mid-circuit (copying a checkpoint into the scratch state)
+    // instead of replaying from |000⟩.
+    for i in 0..12 {
+        c.rx(0, 0.1 * i as f64).cx(0, 1).rz(1, 0.3).cx(1, 2).h(2);
+    }
+    c.measure_all();
     let plan = sim.compile(&c).expect("circuit is physical");
+    assert!(plan.num_checkpoints() > 0);
 
     let mut scratch = SimScratch::new();
     let mut counts = Counts::new(plan.num_clbits());
@@ -57,10 +66,11 @@ fn steady_state_shot_loop_does_not_allocate() {
     plan.run_into(2048, 7, &mut scratch, &mut counts);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    plan.run_into(2048, 7, &mut scratch, &mut counts);
+    let work = plan.run_into(2048, 7, &mut scratch, &mut counts);
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
     assert_eq!(counts.shots(), 4096);
+    assert!(work.skipped_ops > 0, "no shot resumed from a checkpoint");
     assert_eq!(
         during, 0,
         "steady-state shot loop performed {during} heap allocations"

@@ -4,10 +4,16 @@
 
 use std::process::Command;
 
-fn ghz_file() -> std::path::PathBuf {
+/// Writes the GHZ fixture to a path owned by one test in one process, so
+/// concurrently running tests never truncate a file another test's
+/// `edm-cli` is still reading.
+fn ghz_file(test: &str) -> std::path::PathBuf {
     let mut c = qcir::Circuit::new(2, 2);
     c.h(0).cx(0, 1).measure_all();
-    let path = std::env::temp_dir().join("edm_cli_validation_ghz.qasm");
+    let path = std::env::temp_dir().join(format!(
+        "edm_cli_validation_{test}_{}.qasm",
+        std::process::id()
+    ));
     std::fs::write(&path, qcir::qasm::to_qasm(&c)).expect("write qasm fixture");
     path
 }
@@ -21,8 +27,9 @@ fn run_cli(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn zero_shots_is_a_clean_cli_error() {
-    let qasm = ghz_file();
+    let qasm = ghz_file("zero_shots_is_a_clean_cli_error");
     let out = run_cli(&["run", qasm.to_str().unwrap(), "--shots", "0"]);
+    let _ = std::fs::remove_file(&qasm);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -33,7 +40,7 @@ fn zero_shots_is_a_clean_cli_error() {
 
 #[test]
 fn zero_threads_is_a_clean_cli_error() {
-    let qasm = ghz_file();
+    let qasm = ghz_file("zero_threads_is_a_clean_cli_error");
     let out = run_cli(&[
         "run",
         qasm.to_str().unwrap(),
@@ -42,6 +49,7 @@ fn zero_threads_is_a_clean_cli_error() {
         "--shots",
         "64",
     ]);
+    let _ = std::fs::remove_file(&qasm);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -52,7 +60,7 @@ fn zero_threads_is_a_clean_cli_error() {
 
 #[test]
 fn explicit_thread_cap_still_works() {
-    let qasm = ghz_file();
+    let qasm = ghz_file("explicit_thread_cap_still_works");
     let out = run_cli(&[
         "run",
         qasm.to_str().unwrap(),
@@ -61,6 +69,7 @@ fn explicit_thread_cap_still_works() {
         "--shots",
         "256",
     ]);
+    let _ = std::fs::remove_file(&qasm);
     assert!(
         out.status.success(),
         "stderr was: {}",
