@@ -17,13 +17,13 @@
 //! with the same (device, seed). Prints `fleet listening on ADDR` to
 //! stderr once ready; any client's `"Shutdown"` stops the server.
 
-use edm_fleet::fleet::{Fleet, FleetConfig, RoutingPolicy};
+use edm_fleet::fleet::{Fleet, RoutingPolicy};
 use edm_fleet::server::{FleetServer, ServerConfig};
-use edm_serve::exitcode;
+use edm_fleet::startup::{self, Fatal};
+use edm_serve::flags;
 use edm_serve::journal::JournalError;
-use edm_serve::service::ServeConfig;
-use edm_serve::validate;
 use qdevice::presets;
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -73,217 +73,106 @@ exit codes:
   2   usage error (bad flags)
   65  data error (corrupt journal)";
 
-fn flag(args: &[String], name: &str) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| format!("{name} expects an integer")),
-        None => Ok(None),
-    }
-}
-
-fn text_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{name} expects a value")),
-        None => Ok(None),
-    }
-}
-
-struct Parsed {
-    addr: String,
-    devices: usize,
-    device_seed: u64,
-    presets: Vec<(qdevice::Topology, String)>,
-    fleet_config: FleetConfig,
-    server_config: ServerConfig,
-    metrics_port: Option<u64>,
-    journal_dir: Option<String>,
-    trace_out: Option<String>,
-}
+/// Every flag `edm-fleet` takes a value for.
+const VALUED: &[&str] = &[
+    "--addr",
+    "--devices",
+    "--device-seed",
+    "--shards",
+    "--presets",
+    "--threads",
+    "--queue",
+    "--cache",
+    "--batch",
+    "--depth-cap",
+    "--metrics-port",
+    "--journal-dir",
+    "--routing",
+    "--trace-out",
+];
 
 /// Parses `--presets a,b,c` into topologies, defaulting to the original
 /// three-preset cycle so existing deployments (and the fleet smoke test)
 /// see identical devices.
-fn presets_flag(args: &[String]) -> Result<Vec<(qdevice::Topology, String)>, String> {
-    let spec = match text_flag(args, "--presets")? {
-        Some(spec) => spec,
-        None => "melbourne14,guadalupe16,tokyo20".into(),
-    };
+fn presets_flag(args: &[String]) -> Result<Vec<(qdevice::Topology, String)>, Fatal> {
+    let spec =
+        flags::text(args, "--presets")?.unwrap_or_else(|| "melbourne14,guadalupe16,tokyo20".into());
     let mut cycle = Vec::new();
     for name in spec.split(',').map(str::trim).filter(|n| !n.is_empty()) {
         let topology = presets::by_name(name).ok_or_else(|| {
-            format!(
+            Fatal::usage(format!(
                 "--presets: unknown preset '{name}' (expected one of: {})",
                 presets::NAMES.join(", ")
-            )
+            ))
         })?;
         cycle.push((topology, name.to_string()));
     }
     if cycle.is_empty() {
-        return Err("--presets needs at least one preset name".into());
+        return Err(Fatal::usage("--presets needs at least one preset name"));
     }
     Ok(cycle)
 }
 
-fn parse(args: &[String]) -> Result<Parsed, String> {
-    let addr = text_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into());
-    let devices = flag(args, "--devices")?.unwrap_or(3);
-    if devices == 0 {
-        return Err("--devices must be at least 1".into());
-    }
-    let preset_cycle = presets_flag(args)?;
-    let device_seed = flag(args, "--device-seed")?.unwrap_or(42);
-    let mut serve = ServeConfig::default();
-    if let Some(threads) = validate::threads(flag(args, "--threads")?).map_err(|e| e.to_string())? {
-        serve.threads = threads;
-    }
-    if let Some(queue) = flag(args, "--queue")? {
-        if queue == 0 {
-            return Err("--queue must be at least 1".into());
-        }
-        serve.queue_capacity = queue as usize;
-    }
-    if let Some(cache) = flag(args, "--cache")? {
-        if cache == 0 {
-            return Err("--cache must be at least 1".into());
-        }
-        serve.cache_capacity = cache as usize;
-    }
-    if let Some(batch) = flag(args, "--batch")? {
-        if batch == 0 {
-            return Err("--batch must be at least 1".into());
-        }
-        serve.max_batch_jobs = batch as usize;
-    }
-    let depth_cap = match flag(args, "--depth-cap")? {
-        Some(0) => return Err("--depth-cap must be at least 1".into()),
-        Some(cap) => (cap as usize).min(serve.queue_capacity),
-        None => (serve.queue_capacity / 4).max(1),
-    };
-    let mut server_config = ServerConfig::default();
-    if let Some(shards) = flag(args, "--shards")? {
-        if shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        server_config.shards = shards as usize;
-    }
-    if args.iter().any(|a| a == "--controller") {
-        serve.controller = Some(edm_core::ControllerConfig::default());
-    }
-    let routing = match text_flag(args, "--routing")? {
-        Some(spec) => spec.parse::<RoutingPolicy>().map_err(|e| e.to_string())?,
-        None => RoutingPolicy::default(),
-    };
-    let journal_dir = text_flag(args, "--journal-dir")?;
-    let trace_out = text_flag(args, "--trace-out")?;
-    let metrics_port = flag(args, "--metrics-port")?;
-    if let Some(port) = metrics_port {
-        if port > u64::from(u16::MAX) {
-            return Err("--metrics-port must fit in 16 bits".into());
-        }
-    }
-    Ok(Parsed {
-        addr,
-        devices: devices as usize,
-        device_seed,
-        presets: preset_cycle,
-        fleet_config: FleetConfig {
-            serve,
-            depth_cap,
-            routing,
-        },
-        server_config,
-        metrics_port,
-        journal_dir,
-        trace_out,
-    })
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    if flags::switch(&args, "--help") || flags::switch(&args, "-h") {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let parsed = match parse(&args) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            return ExitCode::from(exitcode::USAGE);
-        }
-    };
+    startup::exit(run(&args), USAGE)
+}
 
-    let _metrics_server = match parsed.metrics_port {
-        Some(port) => {
-            edm_telemetry::set_enabled(true);
-            match edm_telemetry::http::serve(port as u16) {
-                Ok(server) => {
-                    eprintln!("metrics listening on http://{}/metrics", server.addr());
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("error: cannot bind metrics port {port}: {e}");
-                    return ExitCode::from(exitcode::FAILURE);
-                }
-            }
-        }
-        None => None,
-    };
-
-    if let Some(path) = &parsed.trace_out {
-        edm_telemetry::set_enabled(true);
-        if let Err(e) = edm_telemetry::trace::set_trace_file(
-            path,
-            edm_telemetry::trace::DEFAULT_TRACE_FILE_MAX_BYTES,
-        ) {
-            eprintln!("error: cannot open trace file {path}: {e}");
-            return ExitCode::from(exitcode::FAILURE);
-        }
-        eprintln!("traces appending to {path}");
+fn run(args: &[String]) -> Result<(), Fatal> {
+    flags::check(args, VALUED, &["--controller"])?;
+    let addr = flags::text(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into());
+    let devices = flags::int(args, "--devices")?.unwrap_or(3);
+    if devices == 0 {
+        return Err(Fatal::usage("--devices must be at least 1"));
     }
+    let cycle = presets_flag(args)?;
+    let device_seed = flags::int(args, "--device-seed")?.unwrap_or(42);
+    let mut fleet_config = startup::fleet_config(args)?;
+    match flags::int(args, "--depth-cap")? {
+        Some(0) => return Err(Fatal::usage("--depth-cap must be at least 1")),
+        Some(cap) => fleet_config.depth_cap = (cap as usize).min(fleet_config.serve.queue_capacity),
+        None => {}
+    }
+    let mut server_config = ServerConfig::default();
+    if let Some(shards) = flags::int(args, "--shards")? {
+        if shards == 0 {
+            return Err(Fatal::usage("--shards must be at least 1"));
+        }
+        server_config.shards = shards as usize;
+    }
+    if let Some(spec) = flags::text(args, "--routing")? {
+        fleet_config.routing = spec.parse::<RoutingPolicy>().map_err(Fatal::usage)?;
+    }
+    let journal_dir = flags::text(args, "--journal-dir")?;
+    startup::start_telemetry(args)?;
 
     // Heterogeneous by construction: presets cycle, and each device gets
     // its own synthesis seed, so calibrations (and therefore ESP scores)
     // genuinely differ across the fleet.
-    let cycle = &parsed.presets;
-    let members: Vec<(qdevice::Topology, &str)> = (0..parsed.devices)
+    let members: Vec<(qdevice::Topology, &str)> = (0..devices as usize)
         .map(|i| {
             let (topology, name) = &cycle[i % cycle.len()];
             (topology.clone(), name.as_str())
         })
         .collect();
-    let fleet = Fleet::synthesize(&members, parsed.device_seed, parsed.fleet_config);
-    if let Some(dir) = &parsed.journal_dir {
-        match fleet.attach_journals(dir) {
-            Ok(recovered) if recovered > 0 => {
-                eprintln!("recovered {recovered} unfinished job(s) from {dir}");
-            }
-            Ok(_) => {}
-            Err(e @ JournalError::Corrupt { .. }) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(exitcode::DATA);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(exitcode::FAILURE);
-            }
-        }
+    let fleet = Fleet::synthesize(&members, device_seed, fleet_config);
+    if let Some(dir) = &journal_dir {
+        let path = Path::new(dir);
+        std::fs::create_dir_all(path)
+            .map_err(|e| Fatal::failure(JournalError::from(e).to_string()))?;
+        let journals: Vec<_> = (0..fleet.num_devices())
+            .map(|i| path.join(format!("device-{i}.jsonl")))
+            .collect();
+        startup::attach_journals(&fleet, &journals, path.join("fleet-index.jsonl"), dir)?;
     }
 
-    let server = match FleetServer::bind(fleet, &parsed.addr, parsed.server_config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", parsed.addr);
-            return ExitCode::from(exitcode::FAILURE);
-        }
-    };
+    let server = FleetServer::bind(fleet, &addr, server_config)
+        .map_err(|e| Fatal::failure(format!("cannot bind {addr}: {e}")))?;
     eprintln!("fleet listening on {}", server.local_addr());
     server.run();
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -23,6 +23,9 @@
 //! 2. predicted ESP, descending,
 //! 3. device index, ascending (the deterministic tie-break).
 //!
+//! A one-device fleet skips scoring: there is nothing to rank, so its
+//! device admits every submission exactly as a bare [`JobService`] would.
+//!
 //! Submission walks that order and takes the first device whose admission
 //! queue accepts. Unhealthy devices are kept at the tail rather than
 //! dropped: while any healthy candidate exists they never receive work,
@@ -45,7 +48,7 @@ use edm_serve::dispatch::BreakerState;
 use edm_serve::journal::JournalError;
 use edm_serve::protocol::DeviceStatus;
 use edm_serve::queue::{AdmitError, JobRequest};
-use edm_serve::service::{JobService, JobState, ServeConfig};
+use edm_serve::service::{ControllerDecision, JobService, JobState, ServeConfig};
 use edm_serve::stats::ServiceStats;
 use edm_telemetry::trace::TraceContext;
 use qcir::Circuit;
@@ -407,26 +410,31 @@ impl<B: Backend> Fleet<B> {
         request: JobRequest,
         ctx: TraceContext,
     ) -> Result<Ticket, RouteError> {
-        if self.slots.is_empty() {
-            return Err(RouteError::Empty);
-        }
-        let candidates = self.candidates(&request.circuit);
-        if candidates.is_empty() {
-            // Re-ask one device for the human-readable reason.
-            let reason = self.slots[0]
-                .lock()
-                .expect("device lock poisoned")
-                .service
-                .predicted_esp(&request.circuit)
-                .err()
-                .unwrap_or_else(|| "unmappable".into());
-            return Err(RouteError::Unmappable { reason });
-        }
+        let order: Vec<usize> = match self.slots.len() {
+            0 => return Err(RouteError::Empty),
+            // Nothing to rank. Scoring would compile through the cache and
+            // refuse an unmappable circuit here; a lone device behaves as
+            // its bare service does and reports that failure at poll.
+            1 => vec![0],
+            _ => {
+                let candidates = self.candidates(&request.circuit);
+                if candidates.is_empty() {
+                    // Re-ask one device for the human-readable reason.
+                    let reason = self.slots[0]
+                        .lock()
+                        .expect("device lock poisoned")
+                        .service
+                        .predicted_esp(&request.circuit)
+                        .err()
+                        .unwrap_or_else(|| "unmappable".into());
+                    return Err(RouteError::Unmappable { reason });
+                }
+                candidates.into_iter().map(|c| c.device).collect()
+            }
+        };
         let mut first_rejection: Option<AdmitError> = None;
-        for candidate in candidates {
-            let mut slot = self.slots[candidate.device]
-                .lock()
-                .expect("device lock poisoned");
+        for device in order {
+            let mut slot = self.slots[device].lock().expect("device lock poisoned");
             match slot.service.submit_with_context(request.clone(), ctx) {
                 Ok(local_id) => {
                     let trace_id = slot.service.trace_id(local_id).unwrap_or(0);
@@ -437,19 +445,19 @@ impl<B: Backend> Fleet<B> {
                     self.index
                         .lock()
                         .expect("index lock poisoned")
-                        .insert(id, (candidate.device, local_id));
+                        .insert(id, (device, local_id));
                     // After the device's own write-ahead entry, before the
                     // client sees the ticket: a crash in between replays the
                     // job on the device without an index line — the job
                     // survives, only the (never-acknowledged) id is lost.
                     self.journal_index(IndexEntry {
                         id,
-                        device: candidate.device,
+                        device,
                         local_id,
                     });
                     return Ok(Ticket {
                         id,
-                        device: candidate.device,
+                        device,
                         local_id,
                         trace_id,
                     });
@@ -461,7 +469,7 @@ impl<B: Backend> Fleet<B> {
         }
         Err(RouteError::AllRejected {
             reason: first_rejection
-                .expect("candidates existed, so at least one rejection")
+                .expect("at least one device was tried, so at least one rejection")
                 .to_string(),
         })
     }
@@ -617,13 +625,13 @@ impl<B: Backend> Fleet<B> {
         slot.refresh_gauges();
     }
 
-    /// Attaches crash-safe journals under `dir`: one per-device write-ahead
-    /// journal (`device-{i}.jsonl`, via [`JobService::attach_journal`]) plus
-    /// a fleet-index journal (`fleet-index.jsonl`) that restores the fleet
-    /// job id → placement mapping. Jobs a previous process accepted but
-    /// never finished are re-enqueued on their original devices with their
-    /// original seeds, and previously issued fleet ids keep resolving.
-    /// Returns how many jobs were recovered fleet-wide.
+    /// Attaches crash-safe journals: device `i`'s write-ahead journal at
+    /// `devices[i]` (via [`JobService::attach_journal`]) plus a fleet-index
+    /// journal at `index` that restores the fleet job id → placement
+    /// mapping. Jobs a previous process accepted but never finished are
+    /// re-enqueued on their original devices with their original seeds,
+    /// and previously issued fleet ids keep resolving. Returns how many
+    /// jobs were recovered fleet-wide.
     ///
     /// Call before serving traffic — recovery assumes no concurrent
     /// submissions.
@@ -633,19 +641,24 @@ impl<B: Backend> Fleet<B> {
     /// [`JournalError`] when a journal cannot be opened or a non-final line
     /// of one is corrupt. A truncated final line (the torn write of the
     /// crash itself) is dropped, not an error.
-    pub fn attach_journals(&self, dir: impl AsRef<Path>) -> Result<usize, JournalError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one device journal per device.
+    pub fn attach_journals(
+        &self,
+        devices: &[impl AsRef<Path>],
+        index: impl AsRef<Path>,
+    ) -> Result<usize, JournalError> {
+        assert_eq!(devices.len(), self.slots.len(), "one journal per device");
         let mut recovered = 0;
-        for (idx, slot) in self.slots.iter().enumerate() {
+        for (slot, path) in self.slots.iter().zip(devices) {
             let mut slot = slot.lock().expect("device lock poisoned");
-            recovered += slot
-                .service
-                .attach_journal(dir.join(format!("device-{idx}.jsonl")))?;
+            recovered += slot.service.attach_journal(path)?;
             slot.refresh_gauges();
         }
-        let path = dir.join("fleet-index.jsonl");
-        let text = match std::fs::read_to_string(&path) {
+        let path = index.as_ref();
+        let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(e.into()),
@@ -681,12 +694,26 @@ impl<B: Backend> Fleet<B> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)?;
+            .open(path)?;
         *self
             .index_journal
             .lock()
             .expect("index journal lock poisoned") = Some(file);
         Ok(recovered)
+    }
+
+    /// Drains every device's controller decisions made since the last
+    /// call, device by device, oldest first within a device.
+    pub fn take_controller_events(&self) -> Vec<ControllerDecision> {
+        self.slots
+            .iter()
+            .flat_map(|slot| {
+                slot.lock()
+                    .expect("device lock poisoned")
+                    .service
+                    .take_controller_events()
+            })
+            .collect()
     }
 
     /// Appends one placement record when the index journal is attached.
@@ -738,8 +765,11 @@ impl Fleet<DeviceBackend> {
 /// the breaker reports the worst state (`Open` > `HalfOpen` > `Closed`)
 /// with summed trip counters; latency percentiles take the per-device
 /// maximum (conservative — merging percentiles exactly would need the raw
-/// samples).
+/// samples). A single device's snapshot passes through unchanged.
 pub fn aggregate_stats(per_device: &[ServiceStats]) -> ServiceStats {
+    if let [only] = per_device {
+        return *only;
+    }
     let mut total = ServiceStats {
         submitted: 0,
         completed: 0,
@@ -979,6 +1009,35 @@ mod tests {
             7,
             config,
         )
+    }
+
+    #[test]
+    fn aggregate_of_one_device_is_that_device() {
+        let fleet = three_device_fleet();
+        fleet.submit(request(ghz(3), 64, 1)).unwrap();
+        fleet.process_all();
+        for status in fleet.device_status() {
+            assert_eq!(aggregate_stats(&[status.stats]), status.stats);
+        }
+    }
+
+    #[test]
+    fn one_device_fleet_admits_without_scoring() {
+        let fleet = Fleet::synthesize(
+            &[(presets::melbourne14(), "melbourne14")],
+            7,
+            small_config(),
+        );
+        // Too wide for the device: a lone device accepts it and reports
+        // the mapping failure at poll, as its bare service would.
+        let ticket = fleet.submit(request(ghz(16), 64, 1)).unwrap();
+        assert_eq!(ticket.device, 0);
+        let first = fleet.submit(request(ghz(3), 64, 1)).unwrap();
+        fleet.process_all();
+        assert!(matches!(fleet.poll(ticket.id), Some(JobState::Failed(_))));
+        assert!(matches!(fleet.poll(first.id), Some(JobState::Done(_))));
+        // No scoring compile: the one compile of ghz(3) was a miss.
+        assert_eq!(fleet.stats().cache.hits, 0);
     }
 
     #[test]

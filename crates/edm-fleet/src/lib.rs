@@ -20,7 +20,13 @@
 //!   ([`FleetServer`](server::FleetServer)): `std::net` readiness polling
 //!   (no async runtime), per-connection framing via
 //!   [`LineFramer`](edm_serve::framing::LineFramer), write buffering with
-//!   per-connection backpressure, per-device executor threads.
+//!   per-connection backpressure, per-device executor threads — plus the
+//!   request path ([`frame_to_request`](server::frame_to_request),
+//!   [`handle_request`](server::handle_request),
+//!   [`encode_response`](server::encode_response)) the `edm-serve`
+//!   stdin/stdout transport shares over a one-device fleet,
+//! - [`startup`] — flag-to-config, telemetry, and journal start-up shared
+//!   by the `edm-serve` and `edm-fleet` binaries.
 //!
 //! ## Determinism contract
 //!
@@ -63,3 +69,4 @@
 pub mod backend;
 pub mod fleet;
 pub mod server;
+pub mod startup;

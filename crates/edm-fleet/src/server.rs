@@ -18,11 +18,12 @@
 //!   loop `process_device`, so one device's batch never blocks another
 //!   device or any socket I/O.
 //!
-//! The single-peer `edm-serve` binary is exactly one shard of this design
-//! with stdin/stdout in place of sockets (it shares the framer and the
-//! protocol handler semantics).
+//! The `edm-serve` binary is the other transport over the same request
+//! path: one peer on stdin/stdout in front of a one-device fleet. Both
+//! decode frames with [`frame_to_request`], answer with [`handle_request`],
+//! and encode with [`encode_response`].
 
-use crate::fleet::{Fleet, RouteError, Ticket};
+use crate::fleet::{Fleet, Ticket};
 use edm_core::Backend;
 use edm_serve::framing::{Frame, LineFramer};
 use edm_serve::protocol::{JobSummary, MetricFamily, Request, Response, SpanInfo};
@@ -84,27 +85,8 @@ impl Connection {
     }
 
     fn queue_response(&mut self, response: &Response) {
-        // A response that fails to serialize (e.g. a summary carrying a
-        // non-finite float, which serde_json rejects) must not take the
-        // whole shard down with it — the client gets an error frame and
-        // every other connection on the shard keeps running.
-        let line = serde_json::to_string(response).unwrap_or_else(|e| {
-            edm_telemetry::counter!(
-                "edm_fleet_response_serialize_errors_total",
-                "Responses that failed to serialize and were replaced by an error frame"
-            )
-            .inc();
-            serde_json::to_string(&Response::Error {
-                reason: format!("internal error: response failed to serialize: {e}"),
-            })
-            // The fallback is a plain string-only variant; if even that
-            // fails, emit a hand-built frame rather than panic.
-            .unwrap_or_else(|_| {
-                r#"{"Error":{"reason":"internal error: response failed to serialize"}}"#.into()
-            })
-        });
-        self.out.extend_from_slice(line.as_bytes());
-        self.out.push(b'\n');
+        self.out
+            .extend_from_slice(encode_response(response).as_bytes());
     }
 
     /// Writes as much buffered output as the socket accepts right now.
@@ -317,7 +299,7 @@ fn shard_loop<B: Backend>(
 
 /// Decodes one framer frame into a request; `Ok(None)` for blank lines,
 /// `Err(reason)` for frames the client must be told were rejected.
-fn frame_to_request(frame: Frame) -> Result<Option<Request>, String> {
+pub fn frame_to_request(frame: Frame) -> Result<Option<Request>, String> {
     match frame {
         Frame::Line(line) => {
             if line.trim().is_empty() {
@@ -332,9 +314,33 @@ fn frame_to_request(frame: Frame) -> Result<Option<Request>, String> {
     }
 }
 
-/// Serves one request against the fleet. Mirrors the single-device
-/// binary's handler, with routing in place of direct submission; `Poll`
-/// does NOT drive processing (the executor threads own that).
+/// Encodes one response as a newline-terminated JSON line. Never panics:
+/// a response that fails to serialize (e.g. a summary carrying a
+/// non-finite float, which serde_json rejects) becomes an error frame, so
+/// one bad response cannot take down a shard or the stdin transport.
+pub fn encode_response(response: &Response) -> String {
+    let mut line = serde_json::to_string(response).unwrap_or_else(|e| {
+        edm_telemetry::counter!(
+            "edm_fleet_response_serialize_errors_total",
+            "Responses that failed to serialize and were replaced by an error frame"
+        )
+        .inc();
+        serde_json::to_string(&Response::Error {
+            reason: format!("internal error: response failed to serialize: {e}"),
+        })
+        // The fallback is a plain string-only variant; if even that
+        // fails, emit a hand-built frame rather than panic.
+        .unwrap_or_else(|_| {
+            r#"{"Error":{"reason":"internal error: response failed to serialize"}}"#.into()
+        })
+    });
+    line.push('\n');
+    line
+}
+
+/// Serves one request against the fleet, for either transport. `Poll`
+/// does NOT drive processing: the TCP executor threads own that, and the
+/// stdin transport drains the fleet itself before handing a `Poll` over.
 pub fn handle_request<B: Backend>(fleet: &Fleet<B>, request: Request) -> Response {
     match request {
         Request::Submit {
@@ -381,12 +387,7 @@ pub fn handle_request<B: Backend>(fleet: &Fleet<B>, request: Request) -> Respons
                 ctx,
             ) {
                 Ok(Ticket { id, trace_id, .. }) => Response::Accepted { id, trace_id },
-                Err(e @ RouteError::Empty) | Err(e @ RouteError::Unmappable { .. }) => {
-                    Response::Rejected {
-                        reason: e.to_string(),
-                    }
-                }
-                Err(e @ RouteError::AllRejected { .. }) => Response::Rejected {
+                Err(e) => Response::Rejected {
                     reason: e.to_string(),
                 },
             }
@@ -444,14 +445,6 @@ pub fn handle_request<B: Backend>(fleet: &Fleet<B>, request: Request) -> Respons
 mod tests {
     use super::*;
 
-    /// A connected loopback socket to hang a `Connection` on.
-    fn loopback_connection() -> Connection {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let _accepted = listener.accept().unwrap();
-        Connection::new(stream, edm_serve::framing::DEFAULT_MAX_FRAME)
-    }
-
     #[test]
     fn unserializable_response_becomes_error_frame_not_panic() {
         // serde_json rejects non-finite floats, so a NaN top_probability
@@ -470,10 +463,7 @@ mod tests {
                 latency_ms: 3,
             },
         };
-        let mut conn = loopback_connection();
-        conn.queue_response(&poisoned);
-
-        let line = String::from_utf8(conn.out.clone()).unwrap();
+        let line = encode_response(&poisoned);
         assert!(line.ends_with('\n'));
         let parsed: Response = serde_json::from_str(line.trim_end()).unwrap();
         match parsed {
@@ -483,9 +473,7 @@ mod tests {
             other => panic!("expected an error frame, got {other:?}"),
         }
 
-        // A healthy response still queues normally afterwards.
-        conn.queue_response(&Response::Bye);
-        let all = String::from_utf8(conn.out.clone()).unwrap();
-        assert_eq!(all.lines().count(), 2);
+        // A healthy response still encodes normally afterwards.
+        assert_eq!(encode_response(&Response::Bye), "\"Bye\"\n");
     }
 }

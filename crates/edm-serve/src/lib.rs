@@ -24,9 +24,10 @@
 //! - [`service`] — the [`JobService`](service::JobService) orchestrator that
 //!   coalesces queued jobs into one `execute_batch` dispatch,
 //! - [`protocol`] — the JSON-lines request/response types the `edm-serve`
-//!   binary speaks,
-//! - [`exitcode`] — the sysexits-style process exit codes both binaries
-//!   map error classes onto.
+//!   and `edm-fleet` binaries speak,
+//! - [`exitcode`] — the sysexits-style process exit codes the binaries
+//!   map error classes onto,
+//! - [`flags`] — the command-line flag lookup the binaries share.
 //!
 //! ## Determinism contract
 //!
@@ -71,6 +72,7 @@ pub mod cache;
 pub mod clock;
 pub mod dispatch;
 pub mod exitcode;
+pub mod flags;
 pub mod framing;
 pub mod journal;
 pub mod protocol;

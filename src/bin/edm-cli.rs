@@ -24,7 +24,7 @@ use edm_core::{
     metrics, Backend, Controller, ControllerConfig, ControllerEvent, EdmError, EdmRunner,
     EnsembleConfig, MemberObservation, ProbDist, RunHealth, ShotAllocation,
 };
-use edm_serve::{exitcode, validate};
+use edm_serve::{exitcode, flags, validate};
 use qcir::{draw, qasm, Circuit};
 use qdevice::mapper::SearchOutcome;
 use qdevice::{persist, presets, DeviceModel, Topology};
@@ -180,35 +180,15 @@ exit codes:
   65  data error (missing or unparseable circuit file)
   75  transient backend failure; rerunning may succeed";
 
-fn flag(args: &[String], name: &str, default: u64) -> Result<u64, CliError> {
-    opt_flag(args, name).map(|v| v.unwrap_or(default))
-}
-
-fn opt_flag(args: &[String], name: &str) -> Result<Option<u64>, CliError> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| CliError::usage(format!("{name} expects an integer"))),
-        None => Ok(None),
-    }
-}
-
-fn text_flag(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| CliError::usage(format!("{name} expects a value"))),
-        None => Ok(None),
+impl From<flags::FlagError> for CliError {
+    fn from(e: flags::FlagError) -> Self {
+        CliError::usage(e.0)
     }
 }
 
 /// `--device NAME`, defaulting to the paper's IBMQ-14 stand-in.
 fn device_flag(args: &[String]) -> Result<(Topology, String), CliError> {
-    let name = text_flag(args, "--device")?.unwrap_or_else(|| "melbourne14".into());
+    let name = flags::text(args, "--device")?.unwrap_or_else(|| "melbourne14".into());
     let topology = presets::by_name(&name).ok_or_else(|| {
         CliError::usage(format!(
             "--device: unknown preset '{name}' (expected one of: {})",
@@ -220,7 +200,7 @@ fn device_flag(args: &[String]) -> Result<(Topology, String), CliError> {
 
 /// `--mapper NAME`, defaulting to size-based auto selection.
 fn mapper_flag(args: &[String]) -> Result<MapperSelection, CliError> {
-    match text_flag(args, "--mapper")? {
+    match flags::text(args, "--mapper")? {
         Some(name) => MapperSelection::parse(&name).ok_or_else(|| {
             CliError::usage(format!(
                 "--mapper: unknown engine '{name}' (expected auto, exhaustive, or filtered)"
@@ -247,7 +227,7 @@ fn cmd_draw(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_transpile(args: &[String]) -> Result<(), CliError> {
     let circuit = load_circuit(args)?;
-    let seed = flag(args, "--seed", 42)?;
+    let seed = flags::int(args, "--seed")?.unwrap_or(42);
     let (topology, device_name) = device_flag(args)?;
     let mapper = mapper_flag(args)?;
     let device = DeviceModel::synthesize(topology, seed);
@@ -270,14 +250,14 @@ fn cmd_transpile(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let circuit = load_circuit(args)?;
-    let shots = validate::shots(flag(args, "--shots", 16_384)?)
+    let shots = validate::shots(flags::int(args, "--shots")?.unwrap_or(16_384))
         .map_err(|e| CliError::usage(format!("--shots: {e}")))?;
-    let seed = flag(args, "--seed", 42)?;
+    let seed = flags::int(args, "--seed")?.unwrap_or(42);
     // Absent = auto (all cores). Any value gives bit-identical results; the
     // flag exists to bound CPU usage, not to pick an RNG schedule.
-    let threads = validate::threads(opt_flag(args, "--threads")?)
+    let threads = validate::threads(flags::int(args, "--threads")?)
         .map_err(|e| CliError::usage(format!("--threads: {e}")))?;
-    let profile = args.iter().any(|a| a == "--profile");
+    let profile = flags::switch(args, "--profile");
     let (topology, _) = device_flag(args)?;
     let mapper = mapper_flag(args)?;
     if circuit.count_measure() == 0 {
@@ -287,12 +267,12 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     // --threads was validated above even for remote runs (catch bad values
     // before touching the network); the server picks its own thread count.
-    if let Some(addr) = text_flag(args, "--connect")? {
-        let trace_out = text_flag(args, "--trace-out")?;
+    if let Some(addr) = flags::text(args, "--connect")? {
+        let trace_out = flags::text(args, "--trace-out")?;
         return cmd_run_remote(&addr, &circuit, shots, seed, trace_out.as_deref());
     }
-    if args.iter().any(|a| a == "--adaptive-controller") {
-        let rounds = flag(args, "--rounds", 4)?;
+    if flags::switch(args, "--adaptive-controller") {
+        let rounds = flags::int(args, "--rounds")?.unwrap_or(4);
         if rounds < 2 {
             return Err(CliError::usage("--rounds must be at least 2"));
         }
@@ -554,7 +534,7 @@ fn plan_round(
 /// the selected engine can produce a ranked, diverse pool on the large
 /// heavy-hex presets within its budget.
 fn cmd_map(args: &[String]) -> Result<(), CliError> {
-    let circuit = match text_flag(args, "--bench")? {
+    let circuit = match flags::text(args, "--bench")? {
         Some(name) => qbench::registry::by_name(&name)
             .map(|b| b.circuit)
             .or_else(|| qbench::registry::scaling_by_name(&name))
@@ -565,8 +545,8 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
             })?,
         None => load_circuit(args)?,
     };
-    let seed = flag(args, "--seed", 42)?;
-    let size = flag(args, "--ensemble", 4)? as usize;
+    let seed = flags::int(args, "--seed")?.unwrap_or(42);
+    let size = flags::int(args, "--ensemble")?.unwrap_or(4) as usize;
     let (topology, device_name) = device_flag(args)?;
     let mapper = mapper_flag(args)?;
     let device = DeviceModel::synthesize(topology, seed);
@@ -779,7 +759,7 @@ fn cmd_trace(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| CliError::usage("trace expects a job id"))?
         .parse()
         .map_err(|_| CliError::usage("trace expects a numeric job id"))?;
-    let addr = text_flag(args, "--connect")?
+    let addr = flags::text(args, "--connect")?
         .ok_or_else(|| CliError::usage("trace requires --connect ADDR"))?;
 
     let mut client = LineClient::connect(&addr)?;
@@ -872,9 +852,9 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     use edm_serve::protocol::{Request, Response};
     use std::io::IsTerminal;
 
-    let addr = text_flag(args, "--connect")?
+    let addr = flags::text(args, "--connect")?
         .ok_or_else(|| CliError::usage("stats requires --connect ADDR"))?;
-    let watch = opt_flag(args, "--watch")?;
+    let watch = flags::int(args, "--watch")?;
     if watch == Some(0) {
         return Err(CliError::usage("--watch must be at least 1 second"));
     }
@@ -973,7 +953,7 @@ fn print_profile(wall: std::time::Duration) {
 }
 
 fn cmd_device(args: &[String]) -> Result<(), CliError> {
-    let seed = flag(args, "--seed", 42)?;
+    let seed = flags::int(args, "--seed")?.unwrap_or(42);
     let (topology, _) = device_flag(args)?;
     let device = DeviceModel::synthesize(topology, seed);
     let json = persist::device_to_json(&device).map_err(|e| CliError::other(e.to_string()))?;
