@@ -24,9 +24,10 @@ use crate::metrics;
 use crate::wedm;
 use crate::EdmError;
 use qcir::{Circuit, Gate, Qubit};
-use qdevice::mapper::{self, SearchOutcome};
+use qdevice::drift::Quarantine;
+use qdevice::mapper::SearchOutcome;
 use qdevice::Topology;
-use qmap::{esp, Transpiler};
+use qmap::{esp, placement, Transpiler};
 use qsim::Counts;
 
 /// How the trial budget is divided among ensemble members.
@@ -169,25 +170,27 @@ pub fn diversify_detailed(
         .collect();
     let pattern = Topology::new(active.len() as u32, &pattern_edges);
 
-    // Enumerate on the quarantine-masked view first; quarantine is advisory,
-    // so fall back to the full device rather than return zero embeddings.
-    let selection = transpiler.mapper_selection();
-    let set = mapper::enumerate_embeddings(
-        &pattern,
-        transpiler.effective_topology(),
-        config.max_candidates,
-        selection,
-    );
-    let mut outcome = set.outcome;
-    let mut embeddings = set.embeddings;
-    if let Some(quarantine) = transpiler.quarantine() {
-        embeddings.retain(|phi| quarantine.allows_footprint(phi));
-        if embeddings.is_empty() {
-            let set =
-                mapper::enumerate_embeddings(&pattern, topology, config.max_candidates, selection);
-            outcome = set.outcome;
-            embeddings = set.embeddings;
-        }
+    // Score every embedding off one compiled term list, keeping only its
+    // ESP and assignment; circuits are built for the chosen members alone.
+    // Enumerate on the quarantine-masked view first; quarantine is
+    // advisory, so fall back to the full device rather than return zero
+    // embeddings.
+    let scorer = esp::Scorer::new(physical, topology.num_qubits(), |q| pos[q.usize()], cal);
+    let mut pool = Pool::new(active.len(), config.min_esp_ratio);
+    let mut score_on = |target: &Topology, quarantine: Option<&Quarantine>| {
+        placement::score_embeddings(
+            &scorer,
+            &pattern,
+            target,
+            config.max_candidates,
+            transpiler.mapper_selection(),
+            |phi| quarantine.is_none_or(|q| q.allows_footprint(phi)),
+            |phi, esp| pool.offer(phi, esp),
+        )
+    };
+    let (mut outcome, scored) = score_on(transpiler.effective_topology(), transpiler.quarantine())?;
+    if scored == 0 && transpiler.quarantine().is_some() {
+        (outcome, _) = score_on(topology, None)?;
     }
     if !matches!(outcome, SearchOutcome::Complete) {
         edm_telemetry::counter!(
@@ -196,37 +199,34 @@ pub fn diversify_detailed(
         )
         .inc();
     }
-    if embeddings.is_empty() {
+    if pool.esps.is_empty() {
         return Err(EdmError::NoEmbeddings);
     }
 
-    let mut members = Vec::with_capacity(embeddings.len());
-    for phi in embeddings {
-        let relabeled = physical.relabeled(topology.num_qubits(), |q| {
-            Qubit::new(phi[pos[q.usize()] as usize])
-        });
-        let esp = esp::esp(&relabeled, cal)?;
-        let mut qubits = phi.clone();
-        qubits.sort_unstable();
-        members.push(EnsembleMember {
-            physical: relabeled,
-            esp,
-            qubits,
-            assignment: phi,
-            inverted_measurement: false,
-        });
-    }
-    members.sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
-    if config.min_esp_ratio > 0.0 {
-        let best = members[0].esp;
-        members.retain(|m| m.esp >= config.min_esp_ratio * best);
-    }
-    members = if config.diverse_selection {
-        select_diverse(members, config.size)
+    let mut ranked = pool.ranked();
+    let chosen = if config.diverse_selection {
+        select_diverse(ranked, config.size)
     } else {
-        members.truncate(config.size);
-        members
+        ranked.truncate(config.size);
+        ranked
     };
+    let mut members: Vec<EnsembleMember> = chosen
+        .into_iter()
+        .map(|c| {
+            let relabeled = physical.relabeled(topology.num_qubits(), |q| {
+                Qubit::new(c.assignment[pos[q.usize()] as usize])
+            });
+            let mut qubits = c.assignment.to_vec();
+            qubits.sort_unstable();
+            EnsembleMember {
+                physical: relabeled,
+                esp: c.esp,
+                qubits,
+                assignment: c.assignment.to_vec(),
+                inverted_measurement: false,
+            }
+        })
+        .collect();
 
     if config.invert_measurements {
         for (i, m) in members.iter_mut().enumerate() {
@@ -239,6 +239,66 @@ pub fn diversify_detailed(
     Ok((members, outcome))
 }
 
+/// The scored embeddings of one [`diversify_detailed`] call, in
+/// enumeration order: each one's ESP, with its assignment stored flat.
+struct Pool {
+    /// Assignment length (the footprint's qubit count).
+    width: usize,
+    min_esp_ratio: f64,
+    /// The best ESP offered so far.
+    best: f64,
+    esps: Vec<f64>,
+    assignments: Vec<u32>,
+}
+
+/// One entry of a [`Pool`]: an embedding and its ESP.
+#[derive(Debug, Clone, Copy)]
+struct Candidate<'a> {
+    esp: f64,
+    assignment: &'a [u32],
+}
+
+impl Pool {
+    fn new(width: usize, min_esp_ratio: f64) -> Self {
+        Pool {
+            width,
+            min_esp_ratio,
+            best: 0.0,
+            esps: Vec::new(),
+            assignments: Vec::new(),
+        }
+    }
+
+    fn offer(&mut self, assignment: &[u32], esp: f64) {
+        // The best only rises, so a candidate below the ratio of the
+        // running best would fail the final filter too.
+        if self.min_esp_ratio > 0.0 && esp < self.min_esp_ratio * self.best {
+            return;
+        }
+        self.best = self.best.max(esp);
+        self.esps.push(esp);
+        self.assignments.extend_from_slice(assignment);
+    }
+
+    /// The candidates within `min_esp_ratio` of the best, stable-sorted
+    /// best first (ties keep enumeration order).
+    fn ranked(&self) -> Vec<Candidate<'_>> {
+        let floor = self.min_esp_ratio * self.best;
+        let mut ranked: Vec<Candidate<'_>> = self
+            .esps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &esp)| self.min_esp_ratio <= 0.0 || esp >= floor)
+            .map(|(i, &esp)| Candidate {
+                esp,
+                assignment: &self.assignments[i * self.width..(i + 1) * self.width],
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.esp.partial_cmp(&a.esp).expect("ESP is finite"));
+        ranked
+    }
+}
+
 /// Greedy max-min diversity selection: start from the ESP-best member, then
 /// repeatedly add the candidate whose *assignment* (which physical qubit
 /// hosts each program qubit) differs in the most positions from every
@@ -248,19 +308,19 @@ pub fn diversify_detailed(
 /// relabelings are often the only way to decorrelate per-qubit mistakes.
 /// All candidates are already inside the ESP pool, so this trades no
 /// reliability for the added diversity.
-fn select_diverse(pool: Vec<EnsembleMember>, size: usize) -> Vec<EnsembleMember> {
+fn select_diverse(pool: Vec<Candidate<'_>>, size: usize) -> Vec<Candidate<'_>> {
     if pool.len() <= size {
         return pool;
     }
-    let footprint_distance = |a: &EnsembleMember, b: &EnsembleMember| -> usize {
+    let footprint_distance = |a: &Candidate<'_>, b: &Candidate<'_>| -> usize {
         a.assignment
             .iter()
-            .zip(&b.assignment)
+            .zip(b.assignment)
             .filter(|(x, y)| x != y)
             .count()
     };
     let mut remaining = pool;
-    let mut selected: Vec<EnsembleMember> = vec![remaining.remove(0)];
+    let mut selected: Vec<Candidate<'_>> = vec![remaining.remove(0)];
     while selected.len() < size && !remaining.is_empty() {
         // remaining is ESP-descending, so the first candidate achieving the
         // best min-distance wins ties by ESP automatically.

@@ -1,0 +1,69 @@
+//! `edm_qmap_esp_scored_total` counts the embeddings scored by an ESP term
+//! list: one per embedding the placement search visits, plus one per
+//! embedding of the ensemble candidate search. The counter is process-wide,
+//! so this binary holds exactly one test: no concurrently running test can
+//! move it.
+
+use edm_core::{diversify, EnsembleConfig};
+use edm_telemetry::metrics::registry;
+use qcir::Circuit;
+use qdevice::mapper::{self, MapperSelection};
+use qdevice::{presets, DeviceModel, Topology};
+use qmap::{placement, Transpiler};
+
+fn scored() -> u64 {
+    registry().counter("edm_qmap_esp_scored_total", "").get()
+}
+
+/// The footprint pattern `diversify` enumerates: the physical circuit's
+/// active qubits, re-indexed densely.
+fn footprint(physical: &Circuit, num_qubits: u32) -> Topology {
+    let active: Vec<u32> = physical.active_qubits().iter().map(|q| q.index()).collect();
+    let mut pos = vec![u32::MAX; num_qubits as usize];
+    for (i, &q) in active.iter().enumerate() {
+        pos[q as usize] = i as u32;
+    }
+    let edges: Vec<(u32, u32)> = physical
+        .interaction_edges()
+        .into_iter()
+        .map(|(a, b)| (pos[a.usize()], pos[b.usize()]))
+        .collect();
+    Topology::new(active.len() as u32, &edges)
+}
+
+#[test]
+fn transpile_and_diversify_score_each_enumerated_embedding_once() {
+    edm_telemetry::set_enabled(true);
+    let device = DeviceModel::synthesize(presets::melbourne14(), 31);
+    let cal = device.calibration();
+    let topology = device.topology();
+    let transpiler = Transpiler::new(topology, &cal);
+    let config = EnsembleConfig::default();
+    let mut ghz = Circuit::new(4, 4);
+    ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3).measure_all();
+
+    let before = scored();
+    let baseline = transpiler.transpile(&ghz).expect("transpiles");
+    let members = diversify(&transpiler, &baseline.physical, &config).expect("diversifies");
+    let delta = scored() - before;
+    assert_eq!(members.len(), config.size);
+
+    let placements = mapper::enumerate_embeddings(
+        &placement::interaction_topology(&ghz.decomposed()),
+        topology,
+        usize::MAX,
+        MapperSelection::Auto,
+    );
+    let candidates = mapper::enumerate_embeddings(
+        &footprint(&baseline.physical, topology.num_qubits()),
+        topology,
+        config.max_candidates,
+        MapperSelection::Auto,
+    );
+    assert!(placements.is_complete() && candidates.is_complete());
+    assert!(!placements.embeddings.is_empty());
+    assert_eq!(
+        delta,
+        (placements.embeddings.len() + candidates.embeddings.len()) as u64
+    );
+}

@@ -43,7 +43,8 @@
 //! ```
 
 use crate::mapper::{EmbeddingSet, SearchOutcome};
-use crate::{vf2, Topology};
+use crate::vf2::{self, Adjacency};
+use crate::Topology;
 
 /// Budgets for one filtered depth-limited search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,48 +99,68 @@ pub fn search(
     max_results: usize,
     config: &FdlsConfig,
 ) -> EmbeddingSet {
+    let mut embeddings = Vec::new();
+    let outcome = for_each(pattern, target, max_results, config, |phi| {
+        embeddings.push(phi.to_vec())
+    });
+    EmbeddingSet {
+        embeddings,
+        outcome,
+    }
+}
+
+/// The visitor form of [`search`]: hands each embedding to `visit` in
+/// search order instead of storing it, with the same cap semantics as
+/// [`crate::vf2::for_each`]. The latency histogram covers the search
+/// together with the visitor's own work.
+pub fn for_each(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    config: &FdlsConfig,
+    visit: impl FnMut(&[u32]),
+) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("fdls_search");
-    let set = edm_telemetry::histogram!(
+    let (outcome, visited) = edm_telemetry::histogram!(
         "edm_qdevice_fdls_us",
         "Wall time of one FDLS embedding search"
     )
-    .time(|| search_inner(pattern, target, max_results, config));
+    .time(|| search_inner(pattern, target, max_results, config, visit));
     edm_telemetry::counter!(
         "edm_qdevice_fdls_embeddings_total",
         "Embeddings produced by FDLS searches"
     )
-    .add(set.embeddings.len() as u64);
-    if !set.is_complete() {
+    .add(visited as u64);
+    if outcome != SearchOutcome::Complete {
         edm_telemetry::counter!(
             "edm_qdevice_fdls_truncated_total",
             "FDLS searches that stopped on a budget, cap, or backtrack limit"
         )
         .inc();
     }
-    set
+    outcome
 }
 
-fn search_inner(
+/// Runs the search, returning its outcome and the number of embeddings
+/// visited.
+fn search_inner<F: FnMut(&[u32])>(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     config: &FdlsConfig,
-) -> EmbeddingSet {
+    mut visit: F,
+) -> (SearchOutcome, usize) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
-    let complete = |embeddings: Vec<Vec<u32>>| EmbeddingSet {
-        embeddings,
-        outcome: SearchOutcome::Complete,
-    };
     if pn == 0 {
-        return if max_results > 0 {
-            complete(vec![Vec::new()])
-        } else {
-            complete(Vec::new())
-        };
+        if max_results == 0 {
+            return (SearchOutcome::Complete, 0);
+        }
+        visit(&[]);
+        return (SearchOutcome::Complete, 1);
     }
     if pn > tn {
-        return complete(Vec::new());
+        return (SearchOutcome::Complete, 0);
     }
 
     // Stage 1: candidate filtering. A target qubit can host a pattern
@@ -162,7 +183,7 @@ fn search_inner(
         if list.is_empty() {
             // Some pattern vertex has no viable host: no embedding exists,
             // and the filter proved it without any search.
-            return complete(Vec::new());
+            return (SearchOutcome::Complete, 0);
         }
         cand_list.push(list);
         cand_mask.push(mask);
@@ -170,18 +191,20 @@ fn search_inner(
 
     // Search one past the cap so an exactly-at-cap pool still reports
     // Complete (matching vf2::enumerate's cap-hit detection).
-    let limit = max_results.saturating_add(1);
     let order = vf2::matching_order(pattern);
+    let (pattern_adj, target_adj) = (Adjacency::new(pattern), Adjacency::new(target));
     let mut s = Search {
-        pattern,
-        target,
-        order,
-        cand_list,
-        cand_mask,
+        pattern: &pattern_adj,
+        target: &target_adj,
+        order: &order,
+        cand_list: &cand_list,
+        cand_mask: &cand_mask,
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
-        results: Vec::new(),
-        limit,
+        visit,
+        found: 0,
+        max_results,
+        limit: max_results.saturating_add(1),
         expansions: 0,
         root_expansions: 0,
         deepest: 0,
@@ -191,9 +214,8 @@ fn search_inner(
         truncated: false,
     };
 
-    let root_v = s.order[0];
-    let roots = s.cand_list[root_v as usize].clone();
-    for root in roots {
+    let root_v = order[0];
+    for &root in &cand_list[root_v as usize] {
         if s.stop {
             break;
         }
@@ -215,21 +237,14 @@ fn search_inner(
         s.mapping[root_v as usize] = u32::MAX;
     }
 
-    let mut embeddings = s.results;
-    if embeddings.len() > max_results {
-        embeddings.truncate(max_results);
-        s.truncated = true;
-    }
-    EmbeddingSet {
-        embeddings,
-        outcome: if s.truncated {
-            SearchOutcome::Truncated {
-                explored: s.expansions,
-            }
-        } else {
-            SearchOutcome::Complete
-        },
-    }
+    let outcome = if s.truncated {
+        SearchOutcome::Truncated {
+            explored: s.expansions,
+        }
+    } else {
+        SearchOutcome::Complete
+    };
+    (outcome, s.found.min(max_results))
 }
 
 /// Per-vertex neighbor degrees, sorted descending.
@@ -249,15 +264,20 @@ fn dominates(target_sig: &[usize], pattern_sig: &[usize]) -> bool {
     pattern_sig.len() <= target_sig.len() && pattern_sig.iter().zip(target_sig).all(|(p, t)| p <= t)
 }
 
-struct Search<'a> {
-    pattern: &'a Topology,
-    target: &'a Topology,
-    order: Vec<u32>,
-    cand_list: Vec<Vec<u32>>,
-    cand_mask: Vec<Vec<bool>>,
+struct Search<'a, F> {
+    pattern: &'a Adjacency,
+    target: &'a Adjacency,
+    order: &'a [u32],
+    cand_list: &'a [Vec<u32>],
+    cand_mask: &'a [Vec<bool>],
     mapping: Vec<u32>,
     used: Vec<bool>,
-    results: Vec<Vec<u32>>,
+    visit: F,
+    /// Complete embeddings found so far (visited or not).
+    found: usize,
+    /// Embeddings handed to `visit`; the next one only proves truncation.
+    max_results: usize,
+    /// `max_results + 1`: the search stops once this many are found.
     limit: usize,
     expansions: u64,
     root_expansions: u64,
@@ -270,7 +290,7 @@ struct Search<'a> {
     truncated: bool,
 }
 
-impl Search<'_> {
+impl<F: FnMut(&[u32])> Search<'_, F> {
     /// Counts one node expansion against both budgets. Returns false (and
     /// raises the corresponding flags) when a budget is exhausted.
     fn charge_expansion(&mut self) -> bool {
@@ -291,8 +311,11 @@ impl Search<'_> {
 
     fn dfs(&mut self, depth: usize) {
         if depth == self.order.len() {
-            self.results.push(self.mapping.clone());
-            if self.results.len() >= self.limit {
+            self.found += 1;
+            if self.found <= self.max_results {
+                (self.visit)(&self.mapping);
+            }
+            if self.found >= self.limit {
                 self.truncated = true;
                 self.stop = true;
             }
@@ -306,47 +329,58 @@ impl Search<'_> {
             .iter()
             .find(|&&u| self.mapping[u as usize] != u32::MAX)
             .copied();
-        let candidates: Vec<u32> = match mapped_neighbor {
-            Some(u) => self
-                .target
-                .neighbors(self.mapping[u as usize])
-                .iter()
-                .copied()
-                .filter(|&t| !self.used[t as usize] && self.cand_mask[v as usize][t as usize])
-                .collect(),
-            None => self.cand_list[v as usize]
-                .iter()
-                .copied()
-                .filter(|&t| !self.used[t as usize])
-                .collect(),
-        };
-        'cand: for t in candidates {
-            for &u in self.pattern.neighbors(v) {
-                let img = self.mapping[u as usize];
-                if img != u32::MAX && !self.target.has_edge(t, img) {
-                    continue 'cand;
+        // `used` is restored after each candidate's subtree, so testing it
+        // lazily visits the same candidates as collecting them up front.
+        let (target, cand_list, cand_mask) = (self.target, self.cand_list, self.cand_mask);
+        let mask = &cand_mask[v as usize];
+        match mapped_neighbor {
+            Some(u) => {
+                for &t in target.neighbors(self.mapping[u as usize]) {
+                    if !self.used[t as usize] && mask[t as usize] && !self.expand(depth, v, t) {
+                        return;
+                    }
                 }
             }
-            if !self.charge_expansion() {
-                return;
-            }
-            self.mapping[v as usize] = t;
-            self.used[t as usize] = true;
-            self.dfs(depth + 1);
-            self.used[t as usize] = false;
-            self.mapping[v as usize] = u32::MAX;
-            if self.stop || self.abandon {
-                return;
-            }
-            // Depth-limited backtracking: once the subtree below has been
-            // and gone, retreating far below the deepest point means we'd
-            // only re-enumerate local permutations — move to the next root.
-            if (self.deepest - depth) as u64 > u64::from(self.config.backtrack_depth) {
-                self.truncated = true;
-                self.abandon = true;
-                return;
+            None => {
+                for &t in &cand_list[v as usize] {
+                    if !self.used[t as usize] && !self.expand(depth, v, t) {
+                        return;
+                    }
+                }
             }
         }
+    }
+
+    /// Places pattern vertex `v` on target `t` if it is adjacency-
+    /// consistent and searches below it. Returns false once this level
+    /// must stop (global stop, root abandoned, or backtrack limit).
+    fn expand(&mut self, depth: usize, v: u32, t: u32) -> bool {
+        for &u in self.pattern.neighbors(v) {
+            let img = self.mapping[u as usize];
+            if img != u32::MAX && !self.target.has_edge(t, img) {
+                return true;
+            }
+        }
+        if !self.charge_expansion() {
+            return false;
+        }
+        self.mapping[v as usize] = t;
+        self.used[t as usize] = true;
+        self.dfs(depth + 1);
+        self.used[t as usize] = false;
+        self.mapping[v as usize] = u32::MAX;
+        if self.stop || self.abandon {
+            return false;
+        }
+        // Depth-limited backtracking: once the subtree below has been
+        // and gone, retreating far below the deepest point means we'd
+        // only re-enumerate local permutations — move to the next root.
+        if (self.deepest - depth) as u64 > u64::from(self.config.backtrack_depth) {
+            self.truncated = true;
+            self.abandon = true;
+            return false;
+        }
+        true
     }
 }
 

@@ -108,16 +108,43 @@ impl MapperSelection {
 ///
 /// Both engines are deterministic (fixed matching order, candidates in
 /// ascending target-qubit id), so the same inputs always yield the same
-/// embedding sequence.
+/// embedding sequence. This collects [`for_each_embedding`]; callers that
+/// only score or filter embeddings should visit them instead of storing
+/// them.
 pub fn enumerate_embeddings(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     selection: MapperSelection,
 ) -> EmbeddingSet {
+    let mut embeddings = Vec::new();
+    let outcome = for_each_embedding(pattern, target, max_results, selection, |phi| {
+        embeddings.push(phi.to_vec())
+    });
+    EmbeddingSet {
+        embeddings,
+        outcome,
+    }
+}
+
+/// Hands each embedding of `pattern` into `target` to `visit`, in exactly
+/// the order [`enumerate_embeddings`] returns them, without storing any.
+///
+/// `visit` sees the first `max_results` embeddings; one more embedding
+/// only marks the outcome [`SearchOutcome::Truncated`], with the same
+/// `explored` count the collecting form reports.
+pub fn for_each_embedding(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    selection: MapperSelection,
+    visit: impl FnMut(&[u32]),
+) -> SearchOutcome {
     match selection.resolve(target) {
-        MapperSelection::Exhaustive => vf2::enumerate(pattern, target, max_results),
-        MapperSelection::Filtered(config) => fdls::search(pattern, target, max_results, &config),
+        MapperSelection::Exhaustive => vf2::for_each(pattern, target, max_results, visit),
+        MapperSelection::Filtered(config) => {
+            fdls::for_each(pattern, target, max_results, &config, visit)
+        }
         MapperSelection::Auto => unreachable!("resolve never returns Auto"),
     }
 }

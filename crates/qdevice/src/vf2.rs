@@ -54,75 +54,96 @@ pub fn enumerate_subgraph_isomorphisms(
 /// only a genuinely clipped pool is `Truncated` (and counted by the
 /// `edm_qdevice_vf2_cap_hits_total` telemetry counter).
 pub fn enumerate(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
+    let mut embeddings = Vec::new();
+    let outcome = for_each(pattern, target, max_results, |phi| {
+        embeddings.push(phi.to_vec())
+    });
+    EmbeddingSet {
+        embeddings,
+        outcome,
+    }
+}
+
+/// The visitor form of [`enumerate`]: hands each embedding to `visit` in
+/// enumeration order instead of storing it.
+///
+/// `visit` sees exactly the embeddings [`enumerate`] would return, in the
+/// same order; the `(max_results + 1)`-th embedding is never visited, it
+/// only marks the outcome [`SearchOutcome::Truncated`]. The latency
+/// histogram covers the search together with the visitor's own work.
+pub fn for_each(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    visit: impl FnMut(&[u32]),
+) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("vf2_enumerate");
-    let set = edm_telemetry::histogram!(
+    let (outcome, visited) = edm_telemetry::histogram!(
         "edm_qdevice_vf2_us",
         "Wall time of one VF2 subgraph-isomorphism enumeration"
     )
-    .time(|| enumerate_inner(pattern, target, max_results));
+    .time(|| search(pattern, target, max_results, visit));
     edm_telemetry::counter!(
         "edm_qdevice_vf2_embeddings_total",
         "Embeddings produced by VF2 enumeration"
     )
-    .add(set.embeddings.len() as u64);
-    if !set.is_complete() {
+    .add(visited as u64);
+    if outcome != SearchOutcome::Complete {
         edm_telemetry::counter!(
             "edm_qdevice_vf2_cap_hits_total",
             "VF2 enumerations truncated by their result cap"
         )
         .inc();
     }
-    set
+    outcome
 }
 
-fn enumerate_inner(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
+/// Runs the search, returning its outcome and the number of embeddings
+/// visited.
+fn search<F: FnMut(&[u32])>(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    mut visit: F,
+) -> (SearchOutcome, usize) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
-    let complete = |embeddings: Vec<Vec<u32>>| EmbeddingSet {
-        embeddings,
-        outcome: SearchOutcome::Complete,
-    };
     if pn == 0 {
-        return if max_results > 0 {
-            complete(vec![Vec::new()])
-        } else {
-            complete(Vec::new())
-        };
+        if max_results == 0 {
+            return (SearchOutcome::Complete, 0);
+        }
+        visit(&[]);
+        return (SearchOutcome::Complete, 1);
     }
     if pn > tn {
-        return complete(Vec::new());
+        return (SearchOutcome::Complete, 0);
     }
 
     // Search one past the cap: finding max_results + 1 embeddings proves
     // the cap actually clipped the pool.
-    let limit = max_results.saturating_add(1);
-    let order = matching_order(pattern);
+    let (pattern_adj, target_adj) = (Adjacency::new(pattern), Adjacency::new(target));
     let mut state = State {
-        pattern,
-        target,
-        order,
+        pattern: &pattern_adj,
+        target: &target_adj,
+        order: matching_order(pattern),
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
-        results: Vec::new(),
-        max_results: limit,
+        visit,
+        found: 0,
+        max_results,
+        limit: max_results.saturating_add(1),
         nodes: 0,
     };
     state.search(0);
-    let mut embeddings = state.results;
-    let truncated = embeddings.len() > max_results;
-    if truncated {
-        embeddings.truncate(max_results);
-    }
-    EmbeddingSet {
-        embeddings,
-        outcome: if truncated {
-            SearchOutcome::Truncated {
-                explored: state.nodes,
-            }
-        } else {
-            SearchOutcome::Complete
-        },
-    }
+    let visited = state.found.min(max_results);
+    let outcome = if state.found > max_results {
+        SearchOutcome::Truncated {
+            explored: state.nodes,
+        }
+    } else {
+        SearchOutcome::Complete
+    };
+    (outcome, visited)
 }
 
 /// Returns true if at least one embedding of `pattern` into `target` exists.
@@ -175,70 +196,131 @@ pub(crate) fn matching_order(pattern: &Topology) -> Vec<u32> {
     order
 }
 
-struct State<'a> {
-    pattern: &'a Topology,
-    target: &'a Topology,
+/// A topology's adjacency flattened for the search loops: neighbour
+/// slices in ascending order (the order [`Topology::neighbors`] iterates
+/// in, so the search order is unchanged) and a dense edge matrix, so the
+/// inner loop never walks a `BTreeSet`.
+pub(crate) struct Adjacency {
+    num_qubits: u32,
+    neighbors: Vec<Vec<u32>>,
+    edge: Vec<bool>,
+}
+
+impl Adjacency {
+    pub(crate) fn new(topology: &Topology) -> Self {
+        let n = topology.num_qubits();
+        let mut edge = vec![false; (n as usize) * (n as usize)];
+        for e in topology.edges() {
+            edge[(e.lo() * n + e.hi()) as usize] = true;
+            edge[(e.hi() * n + e.lo()) as usize] = true;
+        }
+        Adjacency {
+            num_qubits: n,
+            neighbors: (0..n)
+                .map(|q| topology.neighbors(q).iter().copied().collect())
+                .collect(),
+            edge,
+        }
+    }
+
+    pub(crate) fn num_qubits(&self) -> u32 {
+        self.num_qubits
+    }
+
+    pub(crate) fn neighbors(&self, q: u32) -> &[u32] {
+        &self.neighbors[q as usize]
+    }
+
+    pub(crate) fn degree(&self, q: u32) -> usize {
+        self.neighbors[q as usize].len()
+    }
+
+    /// True if `a` and `b` (both in range) are coupled.
+    pub(crate) fn has_edge(&self, a: u32, b: u32) -> bool {
+        self.edge[(a * self.num_qubits + b) as usize]
+    }
+}
+
+struct State<'a, F> {
+    pattern: &'a Adjacency,
+    target: &'a Adjacency,
     order: Vec<u32>,
     mapping: Vec<u32>,
     used: Vec<bool>,
-    results: Vec<Vec<u32>>,
+    visit: F,
+    /// Complete embeddings found so far (visited or not).
+    found: usize,
+    /// Embeddings handed to `visit`; the next one only proves truncation.
     max_results: usize,
+    /// `max_results + 1`: the search stops once this many are found.
+    limit: usize,
     /// Search-tree nodes expanded (candidate placements tried).
     nodes: u64,
 }
 
-impl State<'_> {
+impl<F: FnMut(&[u32])> State<'_, F> {
     fn search(&mut self, depth: usize) {
-        if self.results.len() >= self.max_results {
+        if self.found >= self.limit {
             return;
         }
         if depth == self.order.len() {
-            self.results.push(self.mapping.clone());
+            self.found += 1;
+            if self.found <= self.max_results {
+                (self.visit)(&self.mapping);
+            }
             return;
         }
         let v = self.order[depth];
         // Candidate targets: if v has mapped neighbors, candidates are the
         // target-neighbors of one mapped image (the smallest pruning set);
-        // otherwise every unused target vertex.
+        // otherwise every unused target vertex. `used` is restored after
+        // each candidate's subtree, so testing it lazily here visits the
+        // same candidates, in the same order, as collecting them up front.
         let mapped_neighbor = self
             .pattern
             .neighbors(v)
             .iter()
             .find(|&&u| self.mapping[u as usize] != u32::MAX)
             .copied();
-        let candidates: Vec<u32> = match mapped_neighbor {
-            Some(u) => self
-                .target
-                .neighbors(self.mapping[u as usize])
-                .iter()
-                .copied()
-                .filter(|&t| !self.used[t as usize])
-                .collect(),
-            None => (0..self.target.num_qubits())
-                .filter(|&t| !self.used[t as usize])
-                .collect(),
-        };
-        'cand: for t in candidates {
-            // Feasibility: degree and full adjacency consistency.
-            if self.target.degree(t) < self.pattern.degree(v) {
-                continue;
-            }
-            for &u in self.pattern.neighbors(v) {
-                let img = self.mapping[u as usize];
-                if img != u32::MAX && !self.target.has_edge(t, img) {
-                    continue 'cand;
+        let target = self.target;
+        match mapped_neighbor {
+            Some(u) => {
+                for &t in target.neighbors(self.mapping[u as usize]) {
+                    if !self.used[t as usize] && !self.try_place(depth, v, t) {
+                        return;
+                    }
                 }
             }
-            self.nodes += 1;
-            self.mapping[v as usize] = t;
-            self.used[t as usize] = true;
-            self.search(depth + 1);
-            self.used[t as usize] = false;
-            self.mapping[v as usize] = u32::MAX;
-            if self.results.len() >= self.max_results {
-                return;
+            None => {
+                for t in 0..target.num_qubits() {
+                    if !self.used[t as usize] && !self.try_place(depth, v, t) {
+                        return;
+                    }
+                }
             }
         }
+    }
+
+    /// Places pattern vertex `v` on target `t` if feasible and searches
+    /// below it. Returns false once the search must stop.
+    fn try_place(&mut self, depth: usize, v: u32, t: u32) -> bool {
+        // Feasibility: degree and full adjacency consistency.
+        if self.target.degree(t) < self.pattern.degree(v) {
+            return true;
+        }
+        for &u in self.pattern.neighbors(v) {
+            let img = self.mapping[u as usize];
+            if img != u32::MAX && !self.target.has_edge(t, img) {
+                return true;
+            }
+        }
+        self.nodes += 1;
+        self.mapping[v as usize] = t;
+        self.used[t as usize] = true;
+        self.search(depth + 1);
+        self.used[t as usize] = false;
+        self.mapping[v as usize] = u32::MAX;
+        self.found < self.limit
     }
 }
 

@@ -11,13 +11,14 @@
 //! candidate mappings by it.
 
 use crate::MapError;
-use qcir::{Circuit, Gate};
+use qcir::{Circuit, Gate, Qubit};
 use qdevice::Calibration;
 
 /// Computes the ESP of a *physical* circuit under a calibration.
 ///
 /// The circuit must be in the device basis (single-qubit gates, CX,
-/// measurements), with every CX on a calibrated coupling.
+/// measurements), with every CX on a calibrated coupling. This is the
+/// identity-embedding case of [`Scorer::score`].
 ///
 /// # Errors
 ///
@@ -43,36 +44,147 @@ use qdevice::Calibration;
 /// # Ok::<(), qmap::MapError>(())
 /// ```
 pub fn esp(circuit: &Circuit, cal: &Calibration) -> Result<f64, MapError> {
-    if circuit.num_qubits() > cal.num_qubits() {
-        return Err(MapError::TooManyQubits {
-            circuit: circuit.num_qubits(),
-            device: cal.num_qubits(),
-        });
-    }
-    let mut product = 1.0;
-    for g in circuit.iter() {
-        match *g {
-            Gate::Cx(a, b) => {
-                let e = cal
-                    .cx_err(a.index(), b.index())
-                    .ok_or(MapError::UncalibratedEdge {
-                        a: a.index(),
-                        b: b.index(),
-                    })?;
-                product *= 1.0 - e;
-            }
-            Gate::Measure(q, _) => {
-                product *= 1.0 - cal.readout_err(q.index());
-            }
-            ref g1 if g1.is_single_qubit() => {
-                product *= 1.0 - cal.gate_1q_err(g1.qubits()[0].index());
-            }
-            ref other => {
-                return Err(MapError::UnsupportedGate { name: other.name() });
-            }
+    Scorer::new(circuit, circuit.num_qubits(), Qubit::index, cal).score(|q| q)
+}
+
+/// One factor of an ESP product, on pattern indices.
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    /// A single-qubit gate: `1 − gate_1q_err`.
+    Gate1q(u32),
+    /// A CX: `1 − cx_err` of the coupling it lands on.
+    Cx(u32, u32),
+    /// A measurement: `1 − readout_err`.
+    Measure(u32),
+}
+
+/// A basis circuit compiled once into its ESP term list, with the
+/// calibration's success rates (`1 − error`) in flat tables.
+///
+/// Scoring an embedding `phi` walks the list in gate order, multiplying
+/// the rate of each term's qubits under `phi`. The factors and their order
+/// are exactly those [`esp`] multiplies for the relabeled circuit, so the
+/// score is bit-identical to relabeling the circuit and calling [`esp`] —
+/// without building the circuit.
+///
+/// # Examples
+///
+/// ```
+/// use qcir::{Circuit, Qubit};
+/// use qdevice::{presets, DeviceModel};
+/// use qmap::esp::{self, Scorer};
+///
+/// let device = DeviceModel::synthesize(presets::melbourne14(), 2);
+/// let cal = device.calibration();
+/// let mut c = Circuit::new(2, 2);
+/// c.h(0).cx(0, 1).measure_all();
+/// // Score the embedding 0 → Q1, 1 → Q2 on the 14-qubit device.
+/// let scorer = Scorer::new(&c, 14, Qubit::index, &cal);
+/// let phi = [1, 2];
+/// let score = scorer.score(|p| phi[p as usize])?;
+/// let relabeled = c.relabeled(14, |q| Qubit::new(phi[q.usize()]));
+/// assert_eq!(score.to_bits(), esp::esp(&relabeled, &cal)?.to_bits());
+/// # Ok::<(), qmap::MapError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Scorer {
+    terms: Vec<Term>,
+    /// Qubit count of the scored physical circuit.
+    width: u32,
+    /// The first gate outside the device basis. A gate walk stops there,
+    /// so the term list ends there and scoring fails with this name.
+    unsupported: Option<&'static str>,
+    /// Qubits covered by the rate tables.
+    num_qubits: u32,
+    gate_1q: Vec<f64>,
+    readout: Vec<f64>,
+    /// Dense `num_qubits × num_qubits` CX success table; `None` where the
+    /// pair is not calibrated.
+    cx: Vec<Option<f64>>,
+}
+
+impl Scorer {
+    /// Compiles `circuit` into its term list. `index` maps each circuit
+    /// qubit to the pattern index an embedding assigns; `width` is the
+    /// qubit count of the physical circuit an embedding would produce.
+    pub fn new(
+        circuit: &Circuit,
+        width: u32,
+        index: impl Fn(Qubit) -> u32,
+        cal: &Calibration,
+    ) -> Self {
+        let mut terms = Vec::with_capacity(circuit.len());
+        let mut unsupported = None;
+        for g in circuit.iter() {
+            terms.push(match *g {
+                Gate::Cx(a, b) => Term::Cx(index(a), index(b)),
+                Gate::Measure(q, _) => Term::Measure(index(q)),
+                ref g1 if g1.is_single_qubit() => Term::Gate1q(index(g1.qubits()[0])),
+                ref other => {
+                    unsupported = Some(other.name());
+                    break;
+                }
+            });
+        }
+        let n = cal.num_qubits();
+        let mut cx = vec![None; (n as usize) * (n as usize)];
+        for (e, &err) in cal.cx_table() {
+            let success = Some(1.0 - err);
+            cx[(e.lo() * n + e.hi()) as usize] = success;
+            cx[(e.hi() * n + e.lo()) as usize] = success;
+        }
+        Scorer {
+            terms,
+            width,
+            unsupported,
+            num_qubits: n,
+            gate_1q: (0..n).map(|q| 1.0 - cal.gate_1q_err(q)).collect(),
+            readout: (0..n).map(|q| 1.0 - cal.readout_err(q)).collect(),
+            cx,
         }
     }
-    Ok(product)
+
+    /// The ESP of the circuit under the embedding `phi` (pattern index →
+    /// physical qubit).
+    ///
+    /// # Errors
+    ///
+    /// The errors [`esp`] would return for the relabeled circuit, in the
+    /// same precedence: [`MapError::TooManyQubits`] first, then the first
+    /// uncalibrated CX or unsupported gate in gate order.
+    #[inline]
+    pub fn score(&self, phi: impl Fn(u32) -> u32) -> Result<f64, MapError> {
+        if self.width > self.num_qubits {
+            return Err(MapError::TooManyQubits {
+                circuit: self.width,
+                device: self.num_qubits,
+            });
+        }
+        let mut product = 1.0;
+        for &term in &self.terms {
+            product *= match term {
+                Term::Gate1q(q) => self.gate_1q[phi(q) as usize],
+                Term::Measure(q) => self.readout[phi(q) as usize],
+                Term::Cx(a, b) => {
+                    let (a, b) = (phi(a), phi(b));
+                    self.cx_success(a, b)
+                        .ok_or(MapError::UncalibratedEdge { a, b })?
+                }
+            };
+        }
+        match self.unsupported {
+            Some(name) => Err(MapError::UnsupportedGate { name }),
+            None => Ok(product),
+        }
+    }
+
+    fn cx_success(&self, a: u32, b: u32) -> Option<f64> {
+        let n = self.num_qubits;
+        if a >= n || b >= n {
+            return None;
+        }
+        self.cx[(a * n + b) as usize]
+    }
 }
 
 /// ESP restricted to the measurement terms only — useful when comparing

@@ -5,12 +5,15 @@
 //!
 //! - [`Layout`] — injective logical-to-physical qubit assignments,
 //! - [`esp`] — the Estimated Success Probability metric of Nishio et al.,
-//!   computed from compiler-visible calibration data,
+//!   computed from compiler-visible calibration data; [`esp::Scorer`]
+//!   compiles a circuit once into its ESP term list so any embedding can
+//!   be scored without building its relabeled circuit,
 //! - [`placement`] — variation-aware initial placement, including swap-free
-//!   embedding enumeration ([`placement::rank_embeddings_with`] is the
-//!   engine behind EDM's top-K mapping selection; it dispatches between
-//!   exhaustive VF2 and the budgeted FDLS search via
-//!   [`MapperSelection`] and reports pool completeness),
+//!   embedding ranking ([`placement::score_embeddings`] is the engine
+//!   behind both the best swap-free placement and EDM's top-K mapping
+//!   selection; it streams embeddings from exhaustive VF2 or the budgeted
+//!   FDLS search via [`MapperSelection`] and reports pool completeness;
+//!   [`placement::rank_embeddings_with`] collects the full ranked list),
 //! - [`router`] — SWAP insertion along reliability-optimal (Dijkstra) paths,
 //!   with a swap-count-minimizing baseline strategy,
 //! - [`Transpiler`] — the end-to-end pipeline producing device-basis

@@ -2,19 +2,23 @@
 //!
 //! Two engines are provided:
 //!
-//! - [`rank_embeddings`]: exhaustive swap-free placement. The circuit's
-//!   interaction graph is embedded into the coupling graph with VF2 and every
-//!   embedding is scored by ESP. This is both the paper's "brute force
-//!   search to check the optimality of the mapping" (§5.2) and the engine
-//!   EDM uses to pick its top-K diverse mappings.
+//! - swap-free placement: the circuit's interaction graph is embedded into
+//!   the coupling graph and every embedding is scored by ESP. This is both
+//!   the paper's "brute force search to check the optimality of the
+//!   mapping" (§5.2) and the engine EDM uses to pick its top-K diverse
+//!   mappings. Embeddings are streamed through [`score_embeddings`], which
+//!   scores each one off a compiled [`esp::Scorer`] term list instead of
+//!   building its relabeled circuit: [`best_swap_free_placement_with`]
+//!   keeps a running argmax, and [`rank_embeddings_with`] collects the
+//!   whole ranked list for callers that need it.
 //! - [`greedy_placement`]: a variation-aware greedy heuristic for circuits
 //!   whose interaction graph does not embed swap-free (routing will insert
 //!   SWAPs afterwards).
 
 use crate::esp;
 use crate::{Layout, MapError};
-use qcir::Circuit;
-use qdevice::mapper::{self, MapperSelection};
+use qcir::{Circuit, Qubit};
+use qdevice::mapper::{self, MapperSelection, SearchOutcome};
 use qdevice::{Calibration, Topology};
 
 /// Builds the interaction graph of a logical circuit: one vertex per logical
@@ -28,11 +32,69 @@ pub fn interaction_topology(circuit: &Circuit) -> Topology {
     Topology::new(circuit.num_qubits(), &edges)
 }
 
-/// Enumerates every swap-free embedding of the circuit's interaction graph
-/// into the device and returns them with their ESP, best first.
+/// Streams the embeddings of `pattern` into `target` (at most
+/// `max_embeddings`, in the mapper's enumeration order), scores each one
+/// `keep` accepts with `scorer`, and hands it to `visit` with its ESP.
+///
+/// No embedding is stored and no circuit is built. Returns the search
+/// outcome and the number of embeddings scored; the scored count is also
+/// added to the `edm_qmap_esp_scored_total` work counter.
+///
+/// # Errors
+///
+/// The first scoring error in enumeration order (see [`esp::Scorer::score`]).
+/// The search still runs to its end, so its own counters are unaffected.
+pub fn score_embeddings(
+    scorer: &esp::Scorer,
+    pattern: &Topology,
+    target: &Topology,
+    max_embeddings: usize,
+    selection: MapperSelection,
+    mut keep: impl FnMut(&[u32]) -> bool,
+    mut visit: impl FnMut(&[u32], f64),
+) -> Result<(SearchOutcome, u64), MapError> {
+    let mut scored = 0u64;
+    let mut error = None;
+    let outcome = mapper::for_each_embedding(pattern, target, max_embeddings, selection, |phi| {
+        if error.is_some() || !keep(phi) {
+            return;
+        }
+        scored += 1;
+        match scorer.score(|p| phi[p as usize]) {
+            Ok(esp) => visit(phi, esp),
+            Err(e) => error = Some(e),
+        }
+    });
+    edm_telemetry::counter!(
+        "edm_qmap_esp_scored_total",
+        "Embeddings scored by an ESP term list"
+    )
+    .add(scored);
+    match error {
+        Some(e) => Err(e),
+        None => Ok((outcome, scored)),
+    }
+}
+
+/// ESP-ranked swap-free embeddings plus whether the pool is exhaustive.
+#[derive(Debug, Clone)]
+pub struct RankedLayouts {
+    /// `(layout, esp)` pairs, best first.
+    pub layouts: Vec<(Layout, f64)>,
+    /// True when the embedding search saw the whole pool — a ranking over
+    /// a truncated pool is best-effort and its top-K may be biased.
+    pub complete: bool,
+}
+
+/// Enumerates the swap-free embeddings of the circuit's interaction graph
+/// into the device with the given engine and returns them with their ESP,
+/// best first (ties in enumeration order).
 ///
 /// `max_embeddings` caps the enumeration (pass `usize::MAX` for all). The
 /// circuit must be in the device basis (use [`qcir::Circuit::decomposed`]).
+/// A capped or budget-truncated enumeration is reported through
+/// [`RankedLayouts::complete`] (and the `edm_qmap_truncated_rankings_total`
+/// counter) instead of silently biasing the ranking.
 ///
 /// # Errors
 ///
@@ -46,7 +108,7 @@ pub fn interaction_topology(circuit: &Circuit) -> Topology {
 /// ```
 /// use qcir::Circuit;
 /// use qdevice::{presets, DeviceModel};
-/// use qmap::placement;
+/// use qmap::{placement, MapperSelection};
 ///
 /// let device = DeviceModel::synthesize(presets::melbourne14(), 4);
 /// let cal = device.calibration();
@@ -54,47 +116,19 @@ pub fn interaction_topology(circuit: &Circuit) -> Topology {
 /// c.cx(0, 1);
 /// c.cx(1, 2);
 /// c.measure_all();
-/// let ranked = placement::rank_embeddings(&c, device.topology(), &cal, usize::MAX)?;
+/// let ranked = placement::rank_embeddings_with(
+///     &c,
+///     device.topology(),
+///     &cal,
+///     usize::MAX,
+///     MapperSelection::Exhaustive,
+/// )?
+/// .layouts;
 /// assert!(!ranked.is_empty());
 /// // Best first.
 /// assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
 /// # Ok::<(), qmap::MapError>(())
 /// ```
-pub fn rank_embeddings(
-    circuit: &Circuit,
-    topology: &Topology,
-    cal: &Calibration,
-    max_embeddings: usize,
-) -> Result<Vec<(Layout, f64)>, MapError> {
-    rank_embeddings_with(
-        circuit,
-        topology,
-        cal,
-        max_embeddings,
-        MapperSelection::Exhaustive,
-    )
-    .map(|r| r.layouts)
-}
-
-/// ESP-ranked swap-free embeddings plus whether the pool is exhaustive.
-#[derive(Debug, Clone)]
-pub struct RankedLayouts {
-    /// `(layout, esp)` pairs, best first.
-    pub layouts: Vec<(Layout, f64)>,
-    /// True when the embedding search saw the whole pool — a ranking over
-    /// a truncated pool is best-effort and its top-K may be biased.
-    pub complete: bool,
-}
-
-/// Like [`rank_embeddings`], but with an explicit embedding engine and an
-/// honest completeness signal: a capped or budget-truncated enumeration is
-/// reported through [`RankedLayouts::complete`] (and the
-/// `edm_qmap_truncated_rankings_total` counter) instead of silently biasing
-/// the ranking.
-///
-/// # Errors
-///
-/// Same conditions as [`rank_embeddings`].
 pub fn rank_embeddings_with(
     circuit: &Circuit,
     topology: &Topology,
@@ -102,29 +136,20 @@ pub fn rank_embeddings_with(
     max_embeddings: usize,
     selection: MapperSelection,
 ) -> Result<RankedLayouts, MapError> {
-    if circuit.num_qubits() > topology.num_qubits() {
-        return Err(MapError::TooManyQubits {
-            circuit: circuit.num_qubits(),
-            device: topology.num_qubits(),
-        });
-    }
-    let pattern = interaction_topology(circuit);
-    let set = mapper::enumerate_embeddings(&pattern, topology, max_embeddings, selection);
-    let complete = set.is_complete();
-    if !complete {
-        edm_telemetry::counter!(
-            "edm_qmap_truncated_rankings_total",
-            "ESP rankings computed over a truncated embedding pool"
-        )
-        .inc();
-    }
-    let mut ranked = Vec::with_capacity(set.embeddings.len());
-    for phi in set.embeddings {
-        let layout = Layout::from_physical(phi, topology.num_qubits());
-        let physical = layout.apply(circuit);
-        let score = esp::esp(&physical, cal)?;
-        ranked.push((layout, score));
-    }
+    let mut ranked = Vec::new();
+    let complete = score_placements(
+        circuit,
+        topology,
+        cal,
+        max_embeddings,
+        selection,
+        |phi, esp| {
+            ranked.push((
+                Layout::from_physical(phi.to_vec(), topology.num_qubits()),
+                esp,
+            ))
+        },
+    )?;
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ESP is finite"));
     Ok(RankedLayouts {
         layouts: ranked,
@@ -133,38 +158,81 @@ pub fn rank_embeddings_with(
 }
 
 /// The single best swap-free placement by ESP, or `None` if the interaction
-/// graph does not embed.
+/// graph does not embed. On devices where exhaustive enumeration is
+/// intractable, a budgeted [`MapperSelection::Filtered`] search yields the
+/// best embedding *seen* — still a strong variation-aware placement, though
+/// no longer provably optimal.
 ///
 /// # Errors
 ///
-/// Same conditions as [`rank_embeddings`].
-pub fn best_swap_free_placement(
-    circuit: &Circuit,
-    topology: &Topology,
-    cal: &Calibration,
-) -> Result<Option<Layout>, MapError> {
-    best_swap_free_placement_with(circuit, topology, cal, MapperSelection::Exhaustive)
-}
-
-/// [`best_swap_free_placement`] with an explicit embedding engine: on
-/// devices where exhaustive enumeration is intractable, a budgeted
-/// [`MapperSelection::Filtered`] search yields the best embedding *seen* —
-/// still a strong variation-aware placement, though no longer provably
-/// optimal.
-///
-/// # Errors
-///
-/// Same conditions as [`rank_embeddings`].
+/// Same conditions as [`rank_embeddings_with`].
 pub fn best_swap_free_placement_with(
     circuit: &Circuit,
     topology: &Topology,
     cal: &Calibration,
     selection: MapperSelection,
 ) -> Result<Option<Layout>, MapError> {
+    best_placement_where(circuit, topology, cal, selection, |_| true)
+}
+
+/// The ESP-best swap-free placement among the embeddings `allowed`
+/// accepts. Every embedding is scored (so errors match a full ranking),
+/// and the strict `>` keeps the first maximum in enumeration order — the
+/// element a stable best-first sort would put first.
+pub(crate) fn best_placement_where(
+    circuit: &Circuit,
+    topology: &Topology,
+    cal: &Calibration,
+    selection: MapperSelection,
+    allowed: impl Fn(&[u32]) -> bool,
+) -> Result<Option<Layout>, MapError> {
     // Ranking wants every embedding; under a budgeted engine the search
     // itself bounds the pool instead of a result cap.
-    let ranked = rank_embeddings_with(circuit, topology, cal, usize::MAX, selection)?;
-    Ok(ranked.layouts.into_iter().next().map(|(l, _)| l))
+    let mut best: Option<(f64, Vec<u32>)> = None;
+    score_placements(circuit, topology, cal, usize::MAX, selection, |phi, esp| {
+        if best.as_ref().is_none_or(|(top, _)| esp > *top) && allowed(phi) {
+            best = Some((esp, phi.to_vec()));
+        }
+    })?;
+    Ok(best.map(|(_, phi)| Layout::from_physical(phi, topology.num_qubits())))
+}
+
+/// Scores every swap-free embedding of the circuit's interaction graph in
+/// enumeration order. Returns whether the pool was complete.
+fn score_placements(
+    circuit: &Circuit,
+    topology: &Topology,
+    cal: &Calibration,
+    max_embeddings: usize,
+    selection: MapperSelection,
+    visit: impl FnMut(&[u32], f64),
+) -> Result<bool, MapError> {
+    if circuit.num_qubits() > topology.num_qubits() {
+        return Err(MapError::TooManyQubits {
+            circuit: circuit.num_qubits(),
+            device: topology.num_qubits(),
+        });
+    }
+    let pattern = interaction_topology(circuit);
+    let scorer = esp::Scorer::new(circuit, topology.num_qubits(), Qubit::index, cal);
+    let (outcome, _) = score_embeddings(
+        &scorer,
+        &pattern,
+        topology,
+        max_embeddings,
+        selection,
+        |_| true,
+        visit,
+    )?;
+    let complete = outcome == SearchOutcome::Complete;
+    if !complete {
+        edm_telemetry::counter!(
+            "edm_qmap_truncated_rankings_total",
+            "ESP rankings computed over a truncated embedding pool"
+        )
+        .inc();
+    }
+    Ok(complete)
 }
 
 /// Variation-aware greedy placement for circuits that need routing.
@@ -301,7 +369,15 @@ mod tests {
     fn rank_embeddings_sorted_and_valid() {
         let (d, cal) = setup();
         let c = path_circuit(4);
-        let ranked = rank_embeddings(&c, d.topology(), &cal, usize::MAX).unwrap();
+        let ranked = rank_embeddings_with(
+            &c,
+            d.topology(),
+            &cal,
+            usize::MAX,
+            MapperSelection::Exhaustive,
+        )
+        .unwrap()
+        .layouts;
         assert!(ranked.len() > 10);
         for w in ranked.windows(2) {
             assert!(w[0].1 >= w[1].1);
@@ -317,9 +393,10 @@ mod tests {
     fn best_embedding_avoids_bad_readout_qubits() {
         let (d, cal) = setup();
         let c = path_circuit(4);
-        let best = best_swap_free_placement(&c, d.topology(), &cal)
-            .unwrap()
-            .expect("path embeds in melbourne");
+        let best =
+            best_swap_free_placement_with(&c, d.topology(), &cal, MapperSelection::Exhaustive)
+                .unwrap()
+                .expect("path embeds in melbourne");
         // Q11 and Q12 have ~28% readout error; a 4-qubit path has plenty of
         // better homes.
         for &p in best.as_slice() {
@@ -333,9 +410,11 @@ mod tests {
         // A 5-star needs a degree-4 hub; melbourne's max degree is 3.
         let mut c = Circuit::new(5, 0);
         c.cx(0, 1).cx(0, 2).cx(0, 3).cx(0, 4);
-        assert!(best_swap_free_placement(&c, d.topology(), &cal)
-            .unwrap()
-            .is_none());
+        assert!(
+            best_swap_free_placement_with(&c, d.topology(), &cal, MapperSelection::Exhaustive)
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -374,7 +453,8 @@ mod tests {
             MapError::TooManyQubits { .. }
         ));
         assert!(matches!(
-            rank_embeddings(&c, d.topology(), &cal, 10).unwrap_err(),
+            rank_embeddings_with(&c, d.topology(), &cal, 10, MapperSelection::Exhaustive)
+                .unwrap_err(),
             MapError::TooManyQubits { .. }
         ));
     }
@@ -383,7 +463,9 @@ mod tests {
     fn max_embeddings_caps_results() {
         let (d, cal) = setup();
         let c = path_circuit(3);
-        let ranked = rank_embeddings(&c, d.topology(), &cal, 7).unwrap();
+        let ranked = rank_embeddings_with(&c, d.topology(), &cal, 7, MapperSelection::Exhaustive)
+            .unwrap()
+            .layouts;
         assert_eq!(ranked.len(), 7);
     }
 
@@ -393,7 +475,15 @@ mod tests {
         // hardware.
         let (d, cal) = setup();
         let c = path_circuit(4);
-        let ranked = rank_embeddings(&c, d.topology(), &cal, usize::MAX).unwrap();
+        let ranked = rank_embeddings_with(
+            &c,
+            d.topology(),
+            &cal,
+            usize::MAX,
+            MapperSelection::Exhaustive,
+        )
+        .unwrap()
+        .layouts;
         let top: Vec<_> = ranked.iter().take(4).map(|(l, _)| l.clone()).collect();
         let mut any_disjointness = false;
         for i in 0..top.len() {

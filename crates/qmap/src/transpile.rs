@@ -214,18 +214,13 @@ impl<'a> Transpiler<'a> {
         // the footprint filter additionally rejects layouts parking a
         // (now isolated) quarantined qubit under a measure-only program
         // qubit.
-        let ranked = placement::rank_embeddings_with(
+        placement::best_placement_where(
             basis,
             self.effective_topology(),
             self.calibration,
-            usize::MAX,
             self.mapper,
-        )?;
-        Ok(ranked
-            .layouts
-            .into_iter()
-            .map(|(l, _)| l)
-            .find(|l| quarantine.allows_footprint(&l.physical_qubits())))
+            |phi| quarantine.allows_footprint(phi),
+        )
     }
 
     /// Greedy variation-aware placement honoring the quarantine when

@@ -132,7 +132,15 @@ proptest! {
     fn ranked_embeddings_when_present_support_the_circuit(c in basis_circuit(4, 10), seed in 0u64..20) {
         let device = DeviceModel::synthesize(presets::melbourne14(), seed);
         let cal = device.calibration();
-        let ranked = placement::rank_embeddings(&c, device.topology(), &cal, 50).expect("ranks");
+        let ranked = placement::rank_embeddings_with(
+            &c,
+            device.topology(),
+            &cal,
+            50,
+            qmap::MapperSelection::Exhaustive,
+        )
+        .expect("ranks")
+        .layouts;
         for (layout, esp) in ranked {
             prop_assert!(esp > 0.0 && esp <= 1.0);
             // Swap-free: every interaction edge coupled under the layout.
