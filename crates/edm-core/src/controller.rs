@@ -22,14 +22,24 @@
 //!   itself is stale, so the controller resets to the fresh pool and
 //!   reports a recompile event.
 //!
+//! This is the one closed-loop path; `edm-cli run --adaptive-controller`
+//! and the job service both drive it the same way: compile the pool with
+//! [`ControllerConfig::pool_config`], take each run's members from
+//! [`Controller::plan`], and hand the assembled result to
+//! [`Controller::feed_back`].
+//!
 //! Every decision is a pure function of (ordered run history, calibration
 //! generation, config): no wall clock, no RNG. Replaying the same run
 //! history through a fresh controller reproduces the identical decision
 //! sequence, which is what lets journal replay (DESIGN.md §7) stay
 //! bit-identical even with the controller enabled.
 
+use crate::dist::ProbDist;
+use crate::ensemble::{EdmResult, EnsembleConfig, EnsembleMember, RunHealth};
+use crate::filter;
 use qdevice::drift::Quarantine;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Division guard: predicted shares below this are treated as "no
 /// prediction" rather than amplified into huge observed/predicted ratios.
@@ -105,6 +115,17 @@ impl ControllerConfig {
                 1.0
             },
             ..self
+        }
+    }
+
+    /// The ensemble config a controlled circuit's layout pool is compiled
+    /// with: `ensemble` widened by [`ControllerConfig::spares`] ranked
+    /// layouts. The active ensemble stays `ensemble.size` wide; the
+    /// surplus is the pool [`Controller::plan`] promotes spares from.
+    pub fn pool_config(&self, ensemble: &EnsembleConfig) -> EnsembleConfig {
+        EnsembleConfig {
+            size: ensemble.size + self.spares,
+            ..*ensemble
         }
     }
 }
@@ -475,6 +496,95 @@ impl Controller {
         }
         self.push_log(&events);
         events
+    }
+
+    /// The planning step of a controlled run: applies the swap policy
+    /// ([`Controller::maintain`]) to `pool` — the circuit's compiled
+    /// layouts, ESP-descending — and returns the active members in plan
+    /// order together with the swap events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pool` is not the pool the controller was built (or last
+    /// rebuilt) over.
+    pub fn plan(
+        &mut self,
+        pool: &[EnsembleMember],
+        quarantine: Option<&Quarantine>,
+    ) -> (Vec<EnsembleMember>, Vec<ControllerEvent>) {
+        let footprints: Vec<Vec<u32>> = pool.iter().map(|m| m.qubits.clone()).collect();
+        let events = self.maintain(&footprints, quarantine);
+        let members = self.active.iter().map(|&i| pool[i].clone()).collect();
+        (members, events)
+    }
+
+    /// The feedback step of a controlled run: observes `result` — assembled
+    /// with `ensemble` from the members [`Controller::plan`] returned — one
+    /// slot per planned member, and when the controller reweights,
+    /// re-merges `result.wedm` under the health-adjusted weights. Returns
+    /// the decisions made.
+    ///
+    /// Failed slots come from [`RunHealth::Degraded`]; survivors fill the
+    /// remaining slots in plan order. A survivor counts as informative when
+    /// it passes the uniformity test at `ensemble.uniformity_filter` (or the
+    /// default threshold). When the planned member count no longer matches
+    /// the active slots, the run is not fed back at all rather than
+    /// misattributed to the wrong slots.
+    pub fn feed_back(
+        &mut self,
+        result: &mut EdmResult,
+        ensemble: &EnsembleConfig,
+    ) -> Vec<ControllerEvent> {
+        let threshold = ensemble
+            .uniformity_filter
+            .unwrap_or(filter::DEFAULT_RSD_THRESHOLD);
+        let failed: BTreeMap<usize, f64> = match &result.health {
+            RunHealth::Degraded { failed_members, .. } => failed_members
+                .iter()
+                .map(|f| (f.index, f.member.esp))
+                .collect(),
+            RunHealth::Full => BTreeMap::new(),
+        };
+        let planned = result.members.len() + failed.len();
+        let mut observations = Vec::with_capacity(planned);
+        let mut survivors = result.members.iter().zip(&result.weights);
+        for slot in 0..planned {
+            if let Some(&esp) = failed.get(&slot) {
+                observations.push(MemberObservation {
+                    esp,
+                    informative: false,
+                    realized_weight: 0.0,
+                    failed: true,
+                });
+            } else if let Some((run, &weight)) = survivors.next() {
+                observations.push(MemberObservation {
+                    esp: run.member.esp,
+                    informative: filter::is_informative(&run.dist, threshold),
+                    realized_weight: weight,
+                    failed: false,
+                });
+            }
+        }
+        if observations.len() != self.active.len() {
+            return Vec::new();
+        }
+        let assessment = self.observe(&observations);
+        if assessment.reweighted {
+            // Failed slots carry no distribution: drop their (zero) weight
+            // and renormalize over the survivors actually merged.
+            let adjusted: Vec<f64> = (0..planned)
+                .filter(|slot| !failed.contains_key(slot))
+                .map(|slot| assessment.weights[slot])
+                .collect();
+            let total: f64 = adjusted.iter().sum();
+            if adjusted.len() == result.members.len() && total.is_finite() && total > 0.0 {
+                let adjusted: Vec<f64> = adjusted.iter().map(|w| w / total).collect();
+                let dists: Vec<ProbDist> = result.members.iter().map(|m| m.dist.clone()).collect();
+                result.wedm = ProbDist::merge_weighted(&dists, &adjusted);
+                result.weights = adjusted;
+            }
+        }
+        assessment.events
     }
 
     /// Resets the controller onto a freshly compiled pool (a new

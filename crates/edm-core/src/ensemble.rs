@@ -550,21 +550,6 @@ impl<'t, B: Backend> EdmRunner<'t, B> {
         self.threads
     }
 
-    /// The ensemble configuration.
-    pub fn config(&self) -> &EnsembleConfig {
-        &self.config
-    }
-
-    /// The transpiler this runner compiles with.
-    pub fn transpiler(&self) -> &'t Transpiler<'t> {
-        self.transpiler
-    }
-
-    /// The execution backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
     /// Runs the full EDM flow: build the top-K ensemble, split
     /// `total_shots` evenly across members, execute, and merge.
     ///

@@ -51,7 +51,6 @@
 
 #![deny(missing_docs)]
 
-pub mod adaptive;
 pub mod analysis;
 pub mod controller;
 pub mod dist;
@@ -66,7 +65,6 @@ pub mod model;
 pub mod quality;
 pub mod wedm;
 
-pub use adaptive::AdaptiveResult;
 pub use controller::{
     Controller, ControllerConfig, ControllerEvent, MemberObservation, RunAssessment, SwapReason,
 };

@@ -17,9 +17,9 @@ use crate::queue::{AdmissionQueue, AdmitError, JobRequest, QueuedJob};
 use crate::stats::{LatencyRecorder, ServiceStats};
 use crate::validate;
 use edm_core::{
-    assemble_result, build_ensemble, filter, plan_run, Backend, BatchJob, Controller,
-    ControllerConfig, ControllerEvent, EdmResult, EnsembleConfig, EnsembleMember,
-    MemberObservation, ProbDist, QualityConfig, QualityEstimator, QualitySnapshot, RunPlan,
+    assemble_result, build_ensemble, plan_run, Backend, BatchJob, Controller, ControllerConfig,
+    ControllerEvent, EdmResult, EnsembleConfig, EnsembleMember, QualityConfig, QualityEstimator,
+    QualitySnapshot, RunPlan,
 };
 use edm_telemetry::trace::TraceContext;
 use qdevice::drift::{DriftPolicy, DriftWatchdog};
@@ -518,7 +518,7 @@ impl<B: Backend> JobService<B> {
                 match assemble_result(plan.members, raw, &self.config.ensemble) {
                     Ok(mut result) => {
                         if let Some(fp) = context {
-                            self.controller_observe(fp, k, &mut result);
+                            self.controller_observe(fp, &mut result);
                         }
                         self.observe_quality(&result, predicted_esp);
                         let latency_ms = self.clock.now_ms().saturating_sub(enqueued_at_ms);
@@ -761,13 +761,11 @@ impl<B: Backend> JobService<B> {
         // cached ensembles never reflect a stale quarantine.
         let transpiler = Transpiler::new(&self.topology, &self.calibration)
             .with_quarantine(self.watchdog.quarantine());
-        // With the controller on, compile `spares` extra ranked layouts:
-        // the active ensemble stays `size` wide, the surplus is the swap
-        // pool the controller promotes from.
-        let mut ensemble_config = self.config.ensemble;
-        if let Some(controller) = &self.config.controller {
-            ensemble_config.size += controller.spares;
-        }
+        // With the controller on, compile its spares too.
+        let ensemble_config = match &self.config.controller {
+            Some(controller) => controller.pool_config(&self.config.ensemble),
+            None => self.config.ensemble,
+        };
         let members =
             build_ensemble(&transpiler, circuit, &ensemble_config).map_err(|e| e.to_string())?;
         self.compilations += 1;
@@ -790,34 +788,24 @@ impl<B: Backend> JobService<B> {
             .expect("controller_members requires a controller config");
         let target = self.config.ensemble.size;
         let generation = self.calibration.generation();
+        let entry = self
+            .controllers
+            .entry(fp)
+            .or_insert_with(|| ControllerEntry {
+                controller: Controller::new(config, pool.len(), target),
+                generation,
+            });
         let mut events = Vec::new();
-        let members: Vec<EnsembleMember> = {
-            let entry = self
-                .controllers
-                .entry(fp)
-                .or_insert_with(|| ControllerEntry {
-                    controller: Controller::new(config, pool.len(), target),
-                    generation,
-                });
-            let stale = entry.generation != generation
-                || entry.controller.active().iter().any(|&i| i >= pool.len());
-            if stale {
-                events.push(entry.controller.rebuild(pool.len(), generation));
-                entry.generation = generation;
-            }
-            let footprints: Vec<Vec<u32>> = pool.iter().map(|m| m.qubits.clone()).collect();
-            events.extend(
-                entry
-                    .controller
-                    .maintain(&footprints, Some(self.watchdog.quarantine())),
-            );
-            entry
-                .controller
-                .active()
-                .iter()
-                .map(|&i| pool[i].clone())
-                .collect()
-        };
+        let stale = entry.generation != generation
+            || entry.controller.active().iter().any(|&i| i >= pool.len());
+        if stale {
+            events.push(entry.controller.rebuild(pool.len(), generation));
+            entry.generation = generation;
+        }
+        let (members, swaps) = entry
+            .controller
+            .plan(pool, Some(self.watchdog.quarantine()));
+        events.extend(swaps);
         self.record_controller_events(fp, events);
         // Bound the controller map like the cache it shadows; evict the
         // smallest other fingerprint (deterministic, and never the entry
@@ -835,79 +823,14 @@ impl<B: Backend> JobService<B> {
         members
     }
 
-    /// Feeds one finished run back into the circuit's controller: builds
-    /// per-slot observations (plan order, failures included), updates the
-    /// health EWMA, and — when the controller decides the realized WEDM
-    /// weights disagree with member health — re-merges the result under
-    /// the health-adjusted weights. `planned` is the planned member count
-    /// (survivors plus failures).
-    fn controller_observe(&mut self, fp: u64, planned: usize, result: &mut EdmResult) {
-        let threshold = self
-            .config
-            .ensemble
-            .uniformity_filter
-            .unwrap_or(filter::DEFAULT_RSD_THRESHOLD);
-        // Failed slots by plan index; survivors fill the remaining slots
-        // in order (assemble_result preserves plan order among survivors).
-        let failed: BTreeMap<usize, f64> = match &result.health {
-            edm_core::RunHealth::Degraded { failed_members, .. } => failed_members
-                .iter()
-                .map(|f| (f.index, f.member.esp))
-                .collect(),
-            edm_core::RunHealth::Full => BTreeMap::new(),
-        };
-        let mut observations = Vec::with_capacity(planned);
-        let mut survivor = 0usize;
-        for slot in 0..planned {
-            if let Some(&esp) = failed.get(&slot) {
-                observations.push(MemberObservation {
-                    esp,
-                    informative: false,
-                    realized_weight: 0.0,
-                    failed: true,
-                });
-            } else if survivor < result.members.len() {
-                let run = &result.members[survivor];
-                observations.push(MemberObservation {
-                    esp: run.member.esp,
-                    informative: filter::is_informative(&run.dist, threshold),
-                    realized_weight: result.weights.get(survivor).copied().unwrap_or(0.0),
-                    failed: false,
-                });
-                survivor += 1;
-            }
-        }
+    /// Feeds one finished run back into the circuit's controller
+    /// ([`Controller::feed_back`]), which may re-merge the result's WEDM
+    /// under health-adjusted weights, and records its decisions.
+    fn controller_observe(&mut self, fp: u64, result: &mut EdmResult) {
         let Some(entry) = self.controllers.get_mut(&fp) else {
             return;
         };
-        if observations.len() != entry.controller.active().len() {
-            // The controller changed shape between planning and assembly
-            // (can only happen through external mutation); skip feedback
-            // rather than misattribute observations to the wrong slots.
-            return;
-        }
-        let assessment = entry.controller.observe(&observations);
-        if assessment.reweighted {
-            // Map per-slot adjusted weights back onto the survivors and
-            // re-merge WEDM under them. Failed slots carry no
-            // distribution, so their (zero) weight is simply dropped.
-            let mut adjusted = Vec::with_capacity(result.members.len());
-            for (slot, weight) in assessment.weights.iter().enumerate() {
-                if !failed.contains_key(&slot) {
-                    adjusted.push(*weight);
-                }
-            }
-            let total: f64 = adjusted.iter().sum();
-            if adjusted.len() == result.members.len() && total.is_finite() && total > 0.0 {
-                for w in &mut adjusted {
-                    *w /= total;
-                }
-                let dists: Vec<ProbDist> = result.members.iter().map(|r| r.dist.clone()).collect();
-                result.wedm = ProbDist::merge_weighted(&dists, &adjusted);
-                result.weights = adjusted;
-            }
-        }
-        let events = assessment.events;
+        let events = entry.controller.feed_back(result, &self.config.ensemble);
         self.record_controller_events(fp, events);
     }
 

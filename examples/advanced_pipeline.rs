@@ -1,6 +1,7 @@
-//! The full toolbox on one workload: adaptive EDM (pilot-prune-reallocate)
-//! stacked with readout-error unfolding and bootstrap confidence intervals,
-//! on a heavy-hex (guadalupe-16) device rather than melbourne.
+//! The full toolbox on one workload: EDM with the footnote-2 uniformity
+//! filter dropping noise-drowned members, stacked with readout-error
+//! unfolding and bootstrap confidence intervals, on a heavy-hex
+//! (guadalupe-16) device rather than melbourne.
 //!
 //! ```sh
 //! cargo run --release --example advanced_pipeline
@@ -8,7 +9,7 @@
 
 use edm_core::analysis;
 use edm_core::mitigate::{unfold, ReadoutConfusion};
-use edm_core::{metrics, EdmRunner, EnsembleConfig, ProbDist};
+use edm_core::{filter, metrics, EdmRunner, EnsembleConfig, ProbDist};
 use qbench::bv;
 use qdevice::{presets, DeviceModel};
 use qmap::{RouterBackend, Transpiler};
@@ -23,25 +24,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cal = device.calibration();
     let transpiler = Transpiler::new(device.topology(), &cal).with_router(RouterBackend::Lookahead);
     let backend = NoisySimulator::from_device(&device);
-    let runner = EdmRunner::new(&transpiler, &backend, EnsembleConfig::default());
+    let config = EnsembleConfig {
+        uniformity_filter: Some(filter::DEFAULT_RSD_THRESHOLD),
+        ..EnsembleConfig::default()
+    };
+    let runner = EdmRunner::new(&transpiler, &backend, config);
 
-    // 1. Adaptive schedule: 25% pilot, prune noise-drowned members.
-    let adaptive = runner.run_adaptive(&circuit, 16_384, 0.25, 1.0, 5)?;
+    // 1. EDM run; the uniformity filter keeps noise-drowned members out
+    //    of the merges.
+    let result = runner.run(&circuit, 16_384, 5)?;
     println!(
-        "adaptive run: {} members survived, {} pruned, {} pilot shots",
-        adaptive.result.members.len(),
-        adaptive.pruned.len(),
-        adaptive.pilot_shots
+        "EDM run: {} members, filtered out (uniform-looking): {:?}",
+        result.members.len(),
+        result.filtered_out
     );
     println!(
         "EDM merge: PST {:.3}, IST {:.3}",
-        metrics::pst(&adaptive.result.edm, key),
-        adaptive.result.ist_edm(key)
+        metrics::pst(&result.edm, key),
+        result.ist_edm(key)
     );
 
     // 2. Stack readout unfolding per member, then re-merge.
-    let mitigated: Vec<ProbDist> = adaptive
-        .result
+    let mitigated: Vec<ProbDist> = result
         .members
         .iter()
         .map(|m| {
@@ -58,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Statistical confidence: bootstrap the IST of the pooled counts.
     let mut pooled = qsim::Counts::new(circuit.num_clbits());
-    for m in &adaptive.result.members {
+    for m in &result.members {
         for (k, n) in m.counts.iter() {
             for _ in 0..n {
                 pooled.record(k);

@@ -22,7 +22,7 @@
 
 use edm_core::{
     metrics, Backend, Controller, ControllerConfig, ControllerEvent, EdmError, EdmRunner,
-    EnsembleConfig, MemberObservation, ProbDist, RunHealth, ShotAllocation,
+    EnsembleConfig, ProbDist, RunHealth, ShotAllocation,
 };
 use edm_serve::{exitcode, flags, validate};
 use qcir::{draw, qasm, Circuit};
@@ -111,8 +111,9 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   edm-cli draw <circuit.qasm>
   edm-cli transpile <circuit.qasm> [--device NAME] [--mapper NAME] [--seed N]
-  edm-cli run <circuit.qasm> [--device NAME] [--shots N] [--seed N]
-             [--threads N] [--profile] [--adaptive-controller] [--rounds N]
+  edm-cli run <circuit.qasm> [--device NAME] [--mapper NAME] [--shots N]
+             [--seed N] [--threads N] [--profile]
+             [--adaptive-controller] [--rounds N]
   edm-cli run <circuit.qasm> --connect ADDR [--shots N] [--seed N]
              [--trace-out FILE]
   edm-cli trace <job-id> --connect ADDR
@@ -176,7 +177,7 @@ stats options:
 exit codes:
   0   success
   1   unclassified failure
-  2   usage error (bad flags / arguments)
+  2   usage error (unknown or bad flags / arguments)
   65  data error (missing or unparseable circuit file)
   75  transient backend failure; rerunning may succeed";
 
@@ -210,22 +211,48 @@ fn mapper_flag(args: &[String]) -> Result<MapperSelection, CliError> {
     }
 }
 
+/// Rejects any argument outside a subcommand's declared flags (exit 2),
+/// after taking out the one positional argument at `positional`.
+fn check_flags(
+    args: &[String],
+    positional: Option<usize>,
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), CliError> {
+    let mut rest = args.to_vec();
+    if let Some(i) = positional {
+        rest.remove(i);
+    }
+    Ok(flags::check(&rest, valued, switches)?)
+}
+
+/// Index of the circuit argument: the first non-flag ending in `.qasm`.
+fn qasm_arg(args: &[String]) -> Option<usize> {
+    args.iter()
+        .position(|a| !a.starts_with("--") && a.ends_with(".qasm"))
+}
+
 fn load_circuit(args: &[String]) -> Result<Circuit, CliError> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && a.ends_with(".qasm"))
-        .ok_or_else(|| CliError::usage("expected a .qasm file argument"))?;
+    let path =
+        &args[qasm_arg(args).ok_or_else(|| CliError::usage("expected a .qasm file argument"))?];
     let text = std::fs::read_to_string(path).map_err(|e| CliError::data(format!("{path}: {e}")))?;
     qasm::parse(&text).map_err(|e| CliError::data(format!("{path}: {e}")))
 }
 
 fn cmd_draw(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, qasm_arg(args), &[], &[])?;
     let circuit = load_circuit(args)?;
     print!("{}", draw::draw(&circuit));
     Ok(())
 }
 
 fn cmd_transpile(args: &[String]) -> Result<(), CliError> {
+    check_flags(
+        args,
+        qasm_arg(args),
+        &["--device", "--mapper", "--seed"],
+        &[],
+    )?;
     let circuit = load_circuit(args)?;
     let seed = flags::int(args, "--seed")?.unwrap_or(42);
     let (topology, device_name) = device_flag(args)?;
@@ -249,6 +276,21 @@ fn cmd_transpile(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
+    check_flags(
+        args,
+        qasm_arg(args),
+        &[
+            "--device",
+            "--mapper",
+            "--shots",
+            "--seed",
+            "--threads",
+            "--rounds",
+            "--connect",
+            "--trace-out",
+        ],
+        &["--profile", "--adaptive-controller"],
+    )?;
     let circuit = load_circuit(args)?;
     let shots = validate::shots(flags::int(args, "--shots")?.unwrap_or(16_384))
         .map_err(|e| CliError::usage(format!("--shots: {e}")))?;
@@ -382,15 +424,11 @@ fn cmd_run_adaptive(
 
     let base = EnsembleConfig::default();
     let controller_config = ControllerConfig::default();
-    let pool_config = EnsembleConfig {
-        size: base.size + controller_config.spares,
-        ..base
-    };
     let pool =
-        edm_core::build_ensemble(&transpiler, circuit, &pool_config).map_err(CliError::run)?;
-    let footprints: Vec<Vec<u32>> = pool.iter().map(|m| m.qubits.clone()).collect();
-    let active_len = base.size.min(pool.len());
-    let mut controller = Controller::new(controller_config, pool.len(), active_len);
+        edm_core::build_ensemble(&transpiler, circuit, &controller_config.pool_config(&base))
+            .map_err(CliError::run)?;
+    let mut controller = Controller::new(controller_config, pool.len(), base.size);
+    let active_len = controller.active().len();
 
     let round_shots = shots / rounds;
     if round_shots < active_len as u64 {
@@ -399,9 +437,6 @@ fn cmd_run_adaptive(
              {active_len} ensemble members"
         )));
     }
-    let threshold = base
-        .uniformity_filter
-        .unwrap_or(edm_core::filter::DEFAULT_RSD_THRESHOLD);
 
     println!(
         "ideal (correct) answer: {}",
@@ -419,7 +454,8 @@ fn cmd_run_adaptive(
     let mut round_dists: Vec<ProbDist> = Vec::new();
     let mut round_masses: Vec<f64> = Vec::new();
     for round in 0..rounds {
-        for event in controller.maintain(&footprints, None) {
+        let (members, swaps) = controller.plan(&pool, None);
+        for event in swaps {
             if let ControllerEvent::Swap {
                 slot,
                 out_member,
@@ -431,64 +467,19 @@ fn cmd_run_adaptive(
                 println!("round {round}: swap slot {slot}: member {out_member} -> {in_member} ({reason:?})");
             }
         }
-        let members: Vec<edm_core::EnsembleMember> = controller
-            .active()
-            .iter()
-            .map(|&i| pool[i].clone())
-            .collect();
-        let planned = members.len();
         // Each round forks its own seed, so rounds are independent trials
         // and the whole run stays reproducible from the one CLI seed.
-        let plan = plan_round(members, round_shots, qsim::rngstream::fork(seed, round))?;
+        let plan = edm_core::plan_run(
+            members,
+            round_shots,
+            qsim::rngstream::fork(seed, round),
+            ShotAllocation::Uniform,
+        )
+        .map_err(CliError::run)?;
         let raw = backend.execute_batch(&plan.jobs(), threads);
         let mut result =
             edm_core::assemble_result(plan.members, raw, &base).map_err(CliError::run)?;
-
-        let failed: std::collections::BTreeMap<usize, f64> = match &result.health {
-            RunHealth::Degraded { failed_members, .. } => failed_members
-                .iter()
-                .map(|f| (f.index, f.member.esp))
-                .collect(),
-            RunHealth::Full => Default::default(),
-        };
-        let mut observations = Vec::with_capacity(planned);
-        let mut survivors = result.members.iter().zip(&result.weights);
-        for slot in 0..planned {
-            if let Some(&esp) = failed.get(&slot) {
-                observations.push(MemberObservation {
-                    esp,
-                    informative: false,
-                    realized_weight: 0.0,
-                    failed: true,
-                });
-            } else if let Some((run, &weight)) = survivors.next() {
-                observations.push(MemberObservation {
-                    esp: run.member.esp,
-                    informative: edm_core::filter::is_informative(&run.dist, threshold),
-                    realized_weight: weight,
-                    failed: false,
-                });
-            }
-        }
-        if observations.len() == planned {
-            let assessment = controller.observe(&observations);
-            if assessment.reweighted {
-                // Slot weights map onto survivors in plan order; renormalize
-                // over the survivors actually merged.
-                let adjusted: Vec<f64> = (0..planned)
-                    .filter(|slot| !failed.contains_key(slot))
-                    .map(|slot| assessment.weights[slot])
-                    .collect();
-                let total: f64 = adjusted.iter().sum();
-                if adjusted.len() == result.members.len() && total.is_finite() && total > 0.0 {
-                    let adjusted: Vec<f64> = adjusted.iter().map(|w| w / total).collect();
-                    let dists: Vec<ProbDist> =
-                        result.members.iter().map(|m| m.dist.clone()).collect();
-                    result.wedm = ProbDist::merge_weighted(&dists, &adjusted);
-                    result.weights = adjusted;
-                }
-            }
-        }
+        controller.feed_back(&mut result, &base);
 
         let health: Vec<String> = controller
             .health()
@@ -519,21 +510,18 @@ fn cmd_run_adaptive(
     Ok(())
 }
 
-/// Plans one adaptive round, mapping config errors to usage exits.
-fn plan_round(
-    members: Vec<edm_core::EnsembleMember>,
-    shots: u64,
-    seed: u64,
-) -> Result<edm_core::RunPlan, CliError> {
-    edm_core::plan_run(members, shots, seed, ShotAllocation::Uniform).map_err(CliError::run)
-}
-
 /// `map`: transpiles a workload onto the chosen preset and prints the
 /// diversified top-K mapping pool — the EDM ensemble before any shots are
 /// spent. This is the command the CI mapping smoke test drives: it proves
 /// the selected engine can produce a ranked, diverse pool on the large
 /// heavy-hex presets within its budget.
 fn cmd_map(args: &[String]) -> Result<(), CliError> {
+    check_flags(
+        args,
+        qasm_arg(args),
+        &["--bench", "--device", "--mapper", "--ensemble", "--seed"],
+        &[],
+    )?;
     let circuit = match flags::text(args, "--bench")? {
         Some(name) => qbench::registry::by_name(&name)
             .map(|b| b.circuit)
@@ -753,10 +741,9 @@ fn cmd_run_remote(
 fn cmd_trace(args: &[String]) -> Result<(), CliError> {
     use edm_serve::protocol::{Request, Response, SpanInfo};
 
-    let id: u64 = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage("trace expects a job id"))?
+    let id_arg = args.iter().position(|a| !a.starts_with("--"));
+    check_flags(args, id_arg, &["--connect"], &[])?;
+    let id: u64 = args[id_arg.ok_or_else(|| CliError::usage("trace expects a job id"))?]
         .parse()
         .map_err(|_| CliError::usage("trace expects a numeric job id"))?;
     let addr = flags::text(args, "--connect")?
@@ -852,6 +839,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     use edm_serve::protocol::{Request, Response};
     use std::io::IsTerminal;
 
+    check_flags(args, None, &["--connect", "--watch"], &[])?;
     let addr = flags::text(args, "--connect")?
         .ok_or_else(|| CliError::usage("stats requires --connect ADDR"))?;
     let watch = flags::int(args, "--watch")?;
@@ -953,6 +941,7 @@ fn print_profile(wall: std::time::Duration) {
 }
 
 fn cmd_device(args: &[String]) -> Result<(), CliError> {
+    check_flags(args, None, &["--device", "--seed"], &[])?;
     let seed = flags::int(args, "--seed")?.unwrap_or(42);
     let (topology, _) = device_flag(args)?;
     let device = DeviceModel::synthesize(topology, seed);

@@ -81,3 +81,37 @@ fn explicit_thread_cap_still_works() {
         "stdout: {stdout}"
     );
 }
+
+#[test]
+fn misspelled_run_flag_is_a_usage_error() {
+    let qasm = ghz_file("misspelled_run_flag_is_a_usage_error");
+    let out = run_cli(&[
+        "run",
+        qasm.to_str().unwrap(),
+        "--shots",
+        "512",
+        "--adaptive-controler",
+        "--rouds",
+        "3",
+    ]);
+    let _ = std::fs::remove_file(&qasm);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument '--adaptive-controler'"),
+        "stderr was: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+}
+
+#[test]
+fn misspelled_map_flag_is_a_usage_error() {
+    let out = run_cli(&["map", "--bench", "bv-6", "--ensembel", "3"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument '--ensembel'"),
+        "stderr was: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+}
