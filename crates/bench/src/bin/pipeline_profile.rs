@@ -10,7 +10,8 @@
 //!   runs stop scattering artifacts into whatever directory they ran from).
 //! - `--compare <baseline>` — after profiling, gate the fresh run against a
 //!   committed baseline document; exits with code 65 (`EX_DATAERR`) when
-//!   any gated stage's mean regresses beyond tolerance.
+//!   any gated stage's mean regresses beyond tolerance or any work counter
+//!   differs from the baseline's value.
 //! - `--tolerance <ratio>` — regression tolerance for `--compare`
 //!   (default 1.25 = a stage may be 25% slower before the gate fails).
 //! - `--min-mean-us <µs>` — baseline stages with a smaller mean are not
@@ -156,13 +157,14 @@ fn main() {
         let regressions = perfgate::compare(&baseline, &doc, args.tolerance, args.min_mean_us);
         if regressions.is_empty() {
             println!(
-                "perf gate: OK ({} gated stage(s) within {:.2}x of {})",
+                "perf gate: OK ({} gated stage(s) within {:.2}x, {} counter(s) equal to {})",
                 baseline
                     .stages
                     .iter()
-                    .filter(|s| s.count > 0 && s.mean_us >= args.min_mean_us)
+                    .filter(|s| perfgate::is_gated(s, args.min_mean_us))
                     .count(),
                 args.tolerance,
+                baseline.counters.len(),
                 baseline_path.display()
             );
         } else {

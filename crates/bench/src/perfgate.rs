@@ -13,11 +13,18 @@
 //! present in the baseline but missing from the current run is a failure
 //! too: a silently dropped stage must not read as "infinitely faster".
 //!
-//! Only latency histograms are gated. `pipeline_profile` digests every
-//! telemetry histogram, including value histograms such as
+//! Only latency histograms are gated as latencies. `pipeline_profile`
+//! digests every telemetry histogram, including value histograms such as
 //! `edm_core_member_esp_micro` (ESP ×10⁶); a "slower" value there is a
 //! quality change, not a regression. Latency histograms are the ones
 //! named in microseconds (`_us`), per the telemetry naming convention.
+//!
+//! Counters are gated exactly. Every counter the profile records is a
+//! deterministic count of work (shots replayed, trajectories run, ops
+//! skipped, embeddings scored), the same on any host and at any thread
+//! count. A counter that differs from the baseline, or is missing from the
+//! current run, means the work itself changed: the baseline must then be
+//! regenerated deliberately, with the change that moved it.
 
 use serde::{Deserialize, Serialize};
 
@@ -77,32 +84,74 @@ impl PipelineBench {
     }
 }
 
-/// One gated stage that got slower than the baseline allows (or vanished).
+/// One way a fresh profile fails the gate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Stage name.
-    pub name: String,
-    /// Baseline mean (µs).
-    pub baseline_mean_us: f64,
-    /// Current mean (µs), or `None` when the stage is missing entirely.
-    pub current_mean_us: Option<f64>,
+pub enum Regression {
+    /// A gated stage got slower than the baseline allows, or vanished.
+    Latency {
+        /// Stage name.
+        name: String,
+        /// Baseline mean (µs).
+        baseline_mean_us: f64,
+        /// Current mean (µs), or `None` when the stage is missing entirely.
+        current_mean_us: Option<f64>,
+    },
+    /// A work counter differs from the baseline, or vanished.
+    Counter {
+        /// Counter name.
+        name: String,
+        /// Baseline value.
+        baseline: u64,
+        /// Current value, or `None` when the counter is missing entirely.
+        current: Option<u64>,
+    },
+}
+
+impl Regression {
+    /// The stage or counter name.
+    pub fn name(&self) -> &str {
+        match self {
+            Regression::Latency { name, .. } | Regression::Counter { name, .. } => name,
+        }
+    }
 }
 
 impl std::fmt::Display for Regression {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.current_mean_us {
-            Some(cur) => write!(
+        match self {
+            Regression::Latency {
+                name,
+                baseline_mean_us,
+                current_mean_us: Some(cur),
+            } => write!(
                 f,
-                "{}: mean {:.1}µs vs baseline {:.1}µs ({:.2}x)",
-                self.name,
-                cur,
-                self.baseline_mean_us,
-                cur / self.baseline_mean_us
+                "{name}: mean {cur:.1}µs vs baseline {baseline_mean_us:.1}µs ({:.2}x)",
+                cur / baseline_mean_us
             ),
-            None => write!(
+            Regression::Latency {
+                name,
+                baseline_mean_us,
+                current_mean_us: None,
+            } => write!(
                 f,
-                "{}: present in baseline (mean {:.1}µs) but missing from current run",
-                self.name, self.baseline_mean_us
+                "{name}: present in baseline (mean {baseline_mean_us:.1}µs) but missing from current run"
+            ),
+            Regression::Counter {
+                name,
+                baseline,
+                current: Some(cur),
+            } => write!(
+                f,
+                "{name}: counted {cur} vs baseline {baseline} ({:+})",
+                *cur as i128 - *baseline as i128
+            ),
+            Regression::Counter {
+                name,
+                baseline,
+                current: None,
+            } => write!(
+                f,
+                "{name}: present in baseline (value {baseline}) but missing from current run"
             ),
         }
     }
@@ -111,12 +160,14 @@ impl std::fmt::Display for Regression {
 /// Compares a fresh profile against a baseline.
 ///
 /// Returns every baseline stage whose current mean exceeds
-/// `baseline mean × tolerance`, or which is missing from `current`.
-/// Baseline stages with a mean below `min_mean_us` are skipped (too fast
-/// to measure reliably), as are stages with zero observations and stages
-/// that are not latency histograms (name not ending in `_us`). Stages
-/// that appear only in `current` are ignored — new instrumentation must
-/// not fail the gate until a refreshed baseline covers it.
+/// `baseline mean × tolerance`, or which is missing from `current`, then
+/// every baseline counter whose current value differs or which is missing
+/// from `current`. Baseline stages with a mean below `min_mean_us` are
+/// skipped (too fast to measure reliably), as are stages with zero
+/// observations and stages that are not latency histograms (name not
+/// ending in `_us`). Stages and counters that appear only in `current`
+/// are ignored — new instrumentation must not fail the gate until a
+/// refreshed baseline covers it.
 pub fn compare(
     baseline: &PipelineBench,
     current: &PipelineBench,
@@ -124,27 +175,33 @@ pub fn compare(
     min_mean_us: f64,
 ) -> Vec<Regression> {
     let mut regressions = Vec::new();
-    for base in &baseline.stages {
-        if base.count == 0 || base.mean_us < min_mean_us || !is_latency(&base.name) {
-            continue;
-        }
-        match current.stages.iter().find(|s| s.name == base.name) {
-            None => regressions.push(Regression {
+    for base in baseline.stages.iter().filter(|s| is_gated(s, min_mean_us)) {
+        let cur = current.stages.iter().find(|s| s.name == base.name);
+        if cur.is_none_or(|cur| cur.mean_us > base.mean_us * tolerance) {
+            regressions.push(Regression::Latency {
                 name: base.name.clone(),
                 baseline_mean_us: base.mean_us,
-                current_mean_us: None,
-            }),
-            Some(cur) if cur.mean_us > base.mean_us * tolerance => {
-                regressions.push(Regression {
-                    name: base.name.clone(),
-                    baseline_mean_us: base.mean_us,
-                    current_mean_us: Some(cur.mean_us),
-                });
-            }
-            Some(_) => {}
+                current_mean_us: cur.map(|c| c.mean_us),
+            });
+        }
+    }
+    for base in &baseline.counters {
+        let cur = current.counters.iter().find(|c| c.name == base.name);
+        if cur.is_none_or(|cur| cur.value != base.value) {
+            regressions.push(Regression::Counter {
+                name: base.name.clone(),
+                baseline: base.value,
+                current: cur.map(|c| c.value),
+            });
         }
     }
     regressions
+}
+
+/// Whether a baseline stage is gated: observed, above the timer-noise
+/// floor, and a latency histogram.
+pub fn is_gated(stage: &StageLatency, min_mean_us: f64) -> bool {
+    stage.count > 0 && stage.mean_us >= min_mean_us && is_latency(&stage.name)
 }
 
 /// Whether a stage histogram records a latency (µs) rather than a value.
@@ -175,6 +232,27 @@ mod tests {
         }
     }
 
+    fn counted(counters: &[(&str, u64)]) -> PipelineBench {
+        let mut d = doc(vec![]);
+        d.counters = counters
+            .iter()
+            .map(|&(name, value)| CounterValue {
+                name: name.to_string(),
+                value,
+            })
+            .collect();
+        d
+    }
+
+    fn current_mean_us(r: &Regression) -> Option<f64> {
+        match r {
+            Regression::Latency {
+                current_mean_us, ..
+            } => *current_mean_us,
+            Regression::Counter { .. } => panic!("expected a latency regression, got {r}"),
+        }
+    }
+
     #[test]
     fn identical_profiles_pass() {
         let base = doc(vec![stage("a_us", 1000.0), stage("b_us", 200.0)]);
@@ -196,8 +274,8 @@ mod tests {
         let current = doc(vec![stage("a_us", 1300.0), stage("b_us", 410.0)]);
         let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "a_us");
-        assert_eq!(regs[0].current_mean_us, Some(1300.0));
+        assert_eq!(regs[0].name(), "a_us");
+        assert_eq!(current_mean_us(&regs[0]), Some(1300.0));
         assert!(regs[0].to_string().contains("1.30x"), "{}", regs[0]);
     }
 
@@ -207,7 +285,7 @@ mod tests {
         let current = doc(vec![]);
         let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].current_mean_us, None);
+        assert_eq!(current_mean_us(&regs[0]), None);
         assert!(regs[0].to_string().contains("missing"));
     }
 
@@ -267,7 +345,66 @@ mod tests {
         ]);
         let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
         assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "edm_core_execute_us");
+        assert_eq!(regs[0].name(), "edm_core_execute_us");
+    }
+
+    #[test]
+    fn equal_counters_pass() {
+        let base = counted(&[("edm_qsim_replayed_shots_total", 105_275), ("b_total", 0)]);
+        assert!(compare(&base, &base.clone(), DEFAULT_TOLERANCE, DEFAULT_MIN_MEAN_US).is_empty());
+    }
+
+    #[test]
+    fn any_counter_difference_fails_in_either_direction() {
+        // Work counters are exact: one shot more or less is a verdict, and
+        // no latency tolerance applies to them.
+        let base = counted(&[("up_total", 100), ("down_total", 100), ("same_total", 7)]);
+        let current = counted(&[("up_total", 101), ("down_total", 60), ("same_total", 7)]);
+        let regs = compare(&base, &current, 10.0, DEFAULT_MIN_MEAN_US);
+        assert_eq!(
+            regs,
+            vec![
+                Regression::Counter {
+                    name: "up_total".into(),
+                    baseline: 100,
+                    current: Some(101),
+                },
+                Regression::Counter {
+                    name: "down_total".into(),
+                    baseline: 100,
+                    current: Some(60),
+                },
+            ]
+        );
+        assert!(regs[0].to_string().contains("+1"), "{}", regs[0]);
+        assert!(regs[1].to_string().contains("-40"), "{}", regs[1]);
+    }
+
+    #[test]
+    fn missing_counter_fails() {
+        let base = counted(&[("edm_qsim_distinct_trajectories_total", 0)]);
+        let regs = compare(&base, &counted(&[]), 1.25, DEFAULT_MIN_MEAN_US);
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].name(), "edm_qsim_distinct_trajectories_total");
+        assert!(regs[0].to_string().contains("missing"), "{}", regs[0]);
+    }
+
+    #[test]
+    fn new_counter_in_current_is_ignored() {
+        let base = counted(&[("a_total", 5)]);
+        let current = counted(&[("a_total", 5), ("new_total", 9)]);
+        assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
+    }
+
+    #[test]
+    fn latency_and_counter_regressions_are_both_reported() {
+        let mut base = doc(vec![stage("a_us", 1000.0)]);
+        base.counters = counted(&[("a_total", 5)]).counters;
+        let mut current = doc(vec![stage("a_us", 2000.0)]);
+        current.counters = counted(&[("a_total", 6)]).counters;
+        let regs = compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US);
+        let names: Vec<&str> = regs.iter().map(Regression::name).collect();
+        assert_eq!(names, ["a_us", "a_total"]);
     }
 
     #[test]

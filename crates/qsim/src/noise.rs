@@ -28,9 +28,9 @@
 //! lookup tables with a precomputed survival-product table, readout flip
 //! probabilities baked per measurement, and the coherent-only ("clean")
 //! outcome distribution cached. [`CompiledCircuit::run_into`] then executes
-//! shots against reusable [`SimScratch`] buffers: after the first shot has
-//! warmed the buffers, the steady-state shot loop performs **zero heap
-//! allocations** (verified by a counting-allocator test).
+//! shots against reusable [`SimScratch`] buffers: after the first window of
+//! shots has warmed the buffers, the steady-state shot loop performs **zero
+//! heap allocations** (verified by a counting-allocator test).
 //!
 //! Per shot, the fired-event set is drawn by *skip sampling* over the
 //! survival table: one uniform draw decides how far the scan jumps to the
@@ -49,20 +49,30 @@
 //! resumes from the last checkpoint before its first event instead of
 //! replaying from |0…0⟩. The resumed amplitudes are the very floats the
 //! from-zero walk would reach there, so histograms are bit-identical.
+//!
+//! At low error rates most fired shots fire the same few events, so
+//! `run_into` runs each window of at most [`SLICE_SHOTS`] shots in two
+//! passes. The first draws every shot's events and uniforms in stream
+//! order, finishing clean shots at once and deferring fired ones. The
+//! second runs each distinct fired-event set once and samples all of its
+//! shots in one ascending sweep. No draw depends on the state, so the
+//! histogram is exactly what one trajectory per shot would give.
 
 use crate::complex::C64;
 use crate::counts::Counts;
 use crate::error::SimError;
 use crate::fuse::{self, FusedOp, Prim};
 use crate::ideal;
+use crate::parallel::SLICE_SHOTS;
 use crate::statevector::{
     apply_1q_kernel, apply_cx_kernel, apply_x_kernel, apply_y_kernel, apply_z_kernel, reset_zero,
-    sample_kernel, StateVector,
+    StateVector,
 };
 use qcir::{Circuit, Gate, Qubit};
 use qdevice::{DeviceModel, Edge, NoiseParams, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Toggles for the individual noise channels (all on by default).
 ///
@@ -487,16 +497,19 @@ fn checkpoint_stride(ops: usize, qubits: u32) -> Option<usize> {
 
 /// Exact work done by one [`CompiledCircuit::run_into`] call.
 ///
-/// Both counts are deterministic functions of `(plan, shots, seed)`, so
-/// they sum to the same totals for any thread count.
+/// All three counts are deterministic functions of `(plan, shots, seed)`,
+/// so they sum to the same totals for any thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShotWork {
-    /// Shots that ran a trajectory (at least one event fired) instead of
-    /// sampling the cached clean distribution.
+    /// Shots that took a trajectory's state (at least one event fired)
+    /// instead of sampling the cached clean distribution.
     pub replayed_shots: u64,
-    /// Fused ops those trajectories skipped by resuming from a clean-prefix
-    /// checkpoint.
+    /// Fused ops those shots' trajectories skipped by resuming from a
+    /// clean-prefix checkpoint, counted once per shot.
     pub skipped_ops: u64,
+    /// Trajectories actually run: the distinct fired-event sets among each
+    /// window's replayed shots (at most `replayed_shots`).
+    pub distinct_trajectories: u64,
 }
 
 impl CompiledCircuit {
@@ -538,13 +551,27 @@ impl CompiledCircuit {
     /// [`NoisySimulator::run`] returns for the same arguments. Returns the
     /// call's exact trajectory work (equally deterministic).
     ///
-    /// `scratch` provides the working buffers (state vector, fired-event
-    /// list, dense histogram). After the buffers have grown to this plan's
-    /// sizes — one warm shot suffices — the shot loop performs no heap
-    /// allocation: reuse the same scratch across calls to stay in steady
-    /// state. Registers wider than 12 classical bits fall back from the
-    /// dense histogram to direct `Counts` recording, which may allocate
-    /// per newly seen outcome.
+    /// Shots run in windows of at most [`SLICE_SHOTS`], each in two passes.
+    /// Pass 1 walks the window in stream order and draws what a shot
+    /// draws, in this order: its events, one uniform (for the fired
+    /// trajectory's `|amp|²` sweep, or for the clean distribution), and one
+    /// readout uniform per measurement when readout error is on. A clean
+    /// shot is recorded at once. A fired one is deferred with its sweep
+    /// uniform and its readout flips (see `ReadoutFlips`). Pass 2 groups
+    /// the deferred shots by fired set, runs each set's trajectory once,
+    /// and samples the group's shots in ascending uniform order with one
+    /// sweep over its `|amp|²`. No draw depends on the state, and a set's
+    /// state does not depend on which shot drew it, so the histogram is
+    /// the one a trajectory per shot gives, bit for bit.
+    ///
+    /// `scratch` provides the working buffers (state vector, the window's
+    /// fired events and deferred shots, dense histogram). Their size is
+    /// bounded by one window, not by `shots`. After the
+    /// buffers have grown to this plan's sizes — one warm window suffices —
+    /// the shot loop performs no heap allocation: reuse the same scratch
+    /// across calls to stay in steady state. Registers wider than 12
+    /// classical bits fall back from the dense histogram to direct
+    /// `Counts` recording, which may allocate per newly seen outcome.
     ///
     /// # Panics
     ///
@@ -565,42 +592,69 @@ impl CompiledCircuit {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let dense = self.num_clbits <= DENSE_HIST_BITS;
         let hist_len = 1usize << self.num_clbits.min(DENSE_HIST_BITS);
-        if dense && scratch.hist.len() < hist_len {
-            scratch.hist.resize(hist_len, 0);
+        let SimScratch {
+            amps,
+            fired,
+            deferred,
+            hist,
+        } = scratch;
+        if dense && hist.len() < hist_len {
+            hist.resize(hist_len, 0);
         }
-
-        let mut work = ShotWork::default();
-        for _ in 0..shots {
-            scratch.fired.clear();
-            self.sample_events(&mut rng, &mut scratch.fired);
-            let basis = if scratch.fired.is_empty() {
-                sample_cumulative(&self.clean_cum, &mut rng)
-            } else {
-                work.replayed_shots += 1;
-                work.skipped_ops +=
-                    self.run_trajectory_into(&scratch.fired, &mut scratch.amps) as u64;
-                sample_kernel(&scratch.amps, &mut rng)
-            };
-            let mut key = 0u64;
-            for m in &self.measurements {
-                let mut bit = (basis >> m.dense) & 1;
-                if self.readout {
-                    let flip_prob = if bit == 1 { m.p10 } else { m.p01 };
-                    if rng.gen::<f64>() < flip_prob {
-                        bit ^= 1;
-                    }
-                }
-                key |= (bit as u64) << m.clbit;
-            }
+        let mut record = |key: u64| {
             if dense {
-                scratch.hist[key as usize] += 1;
+                hist[key as usize] += 1;
             } else {
                 counts.record(key);
+            }
+        };
+
+        let mut work = ShotWork::default();
+        let mut left = shots;
+        while left > 0 {
+            let window = left.min(SLICE_SHOTS);
+            left -= window;
+
+            // Pass 1: every draw of the window, in stream order.
+            fired.clear();
+            deferred.clear();
+            for _ in 0..window {
+                let start = fired.len();
+                self.sample_events(&mut rng, fired);
+                if fired.len() == start {
+                    let basis = sample_cumulative(&self.clean_cum, &mut rng);
+                    record(self.readout_key(basis, self.draw_flips(&mut rng)));
+                    continue;
+                }
+                let u = rng.gen();
+                deferred.push(DeferredShot {
+                    start: start as u32,
+                    end: fired.len() as u32,
+                    u,
+                    flips: self.draw_flips(&mut rng),
+                });
+            }
+
+            // Pass 2: one trajectory per distinct fired set.
+            deferred.sort_unstable_by(|a, b| {
+                fired[a.fired()]
+                    .cmp(&fired[b.fired()])
+                    .then(a.u.total_cmp(&b.u))
+            });
+            for group in deferred.chunk_by(|a, b| fired[a.fired()] == fired[b.fired()]) {
+                let skipped = self.run_trajectory_into(&fired[group[0].fired()], amps);
+                work.distinct_trajectories += 1;
+                work.replayed_shots += group.len() as u64;
+                work.skipped_ops += (skipped * group.len()) as u64;
+                let mut sweep = SortedSweep::new(amps);
+                for shot in group {
+                    record(self.readout_key(sweep.sample(shot.u), shot.flips));
+                }
             }
         }
 
         if dense {
-            for (outcome, slot) in scratch.hist[..hist_len].iter_mut().enumerate() {
+            for (outcome, slot) in hist[..hist_len].iter_mut().enumerate() {
                 if *slot > 0 {
                     counts.record_n(outcome as u64, *slot);
                     *slot = 0;
@@ -608,6 +662,32 @@ impl CompiledCircuit {
             }
         }
         work
+    }
+
+    /// Draws one shot's readout uniforms, one per measurement in order
+    /// when readout error is on (none otherwise), and keeps of each only
+    /// whether it flips a 0 and whether it flips a 1.
+    fn draw_flips(&self, rng: &mut ChaCha8Rng) -> ReadoutFlips {
+        let mut flips = ReadoutFlips::default();
+        if self.readout {
+            for m in &self.measurements {
+                let u: f64 = rng.gen();
+                flips.if_zero |= u64::from(u < m.p01) << m.clbit;
+                flips.if_one |= u64::from(u < m.p10) << m.clbit;
+            }
+        }
+        flips
+    }
+
+    /// The classical key recorded for basis state `basis`: each measured
+    /// bit, flipped when the shot's readout uniform for it fell below that
+    /// bit value's flip probability.
+    fn readout_key(&self, basis: usize, flips: ReadoutFlips) -> u64 {
+        let mut key = 0u64;
+        for m in &self.measurements {
+            key |= (((basis >> m.dense) & 1) as u64) << m.clbit;
+        }
+        key ^ ((key & flips.if_one) | (!key & flips.if_zero))
     }
 
     /// Draws this shot's fired-event set by skip sampling over the
@@ -729,15 +809,17 @@ impl CompiledCircuit {
 
 /// Reusable per-thread working buffers for [`CompiledCircuit::run_into`].
 ///
-/// Holds the trajectory state vector, the fired-event list, and the dense
-/// outcome histogram. Buffers only ever grow; once warm for a given plan
-/// size, the shot loop allocates nothing. One scratch serves any sequence
-/// of plans (workers keep a thread-local instance across slices and
-/// batches).
+/// Holds the trajectory state vector, one window's fired events and
+/// deferred shots, and the dense outcome histogram. Buffers
+/// only ever grow, and no further than one window needs; once the first
+/// window has warmed them for a given plan size, the shot loop allocates
+/// nothing. One scratch serves any sequence of plans (workers keep a
+/// thread-local instance across slices and batches).
 #[derive(Debug, Default)]
 pub struct SimScratch {
     amps: Vec<C64>,
     fired: Vec<FiredPauli>,
+    deferred: Vec<DeferredShot>,
     hist: Vec<u64>,
 }
 
@@ -745,6 +827,74 @@ impl SimScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// A fired shot of the current window, waiting for its group's trajectory.
+#[derive(Debug, Clone, Copy)]
+struct DeferredShot {
+    /// Its fired Paulis are `fired[start..end]` of the window's buffer.
+    start: u32,
+    end: u32,
+    /// The uniform its trajectory's `|amp|²` sweep samples with.
+    u: f64,
+    flips: ReadoutFlips,
+}
+
+impl DeferredShot {
+    fn fired(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// One shot's readout flips, decided before its state is known: bit `c` of
+/// `if_zero` (`if_one`) is set when clbit `c`'s readout uniform falls below
+/// `P(1|0)` (`P(0|1)`), so the bit flips if it reads 0 (1). A register has
+/// at most 63 bits (`Counts`), so one word holds every measurement.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReadoutFlips {
+    if_zero: u64,
+    if_one: u64,
+}
+
+/// Samples one state for a run of ascending uniforms in a single sweep.
+///
+/// `sample_kernel` returns the first index whose running sum `acc` of
+/// `|amp|²` exceeds `u`, or the last index when none does. `acc` only
+/// grows, so for a larger `u` that index is never earlier: the sweep keeps
+/// `acc` (built by the same additions in the same order) and resumes where
+/// the previous uniform stopped. Each `u` gets exactly the index
+/// `sample_kernel` would return for it.
+struct SortedSweep<'a> {
+    amps: &'a [C64],
+    /// `Σ |amps[i]|²` over `i < next`, summed in index order.
+    acc: f64,
+    next: usize,
+}
+
+impl<'a> SortedSweep<'a> {
+    fn new(amps: &'a [C64]) -> Self {
+        SortedSweep {
+            amps,
+            acc: 0.0,
+            next: 0,
+        }
+    }
+
+    /// The sampled index for a uniform `u` in `[0, 1)`, which must not be
+    /// below any earlier `u`.
+    // `!(u < acc)`, not `u >= acc`: it is `sample_kernel`'s own test
+    // negated, so a NaN `acc` keeps sweeping exactly as `sample_kernel` does.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    fn sample(&mut self, u: f64) -> usize {
+        while !(u < self.acc) && self.next < self.amps.len() {
+            self.acc += self.amps[self.next].norm_sqr();
+            self.next += 1;
+        }
+        // Either `u < acc` first held once `amps[next - 1]` was added, or
+        // the sweep ran off the end, where `sample_kernel` falls through to
+        // the last index: `next - 1` both ways.
+        self.next - 1
     }
 }
 
@@ -801,7 +951,8 @@ struct MeasSite {
 }
 
 /// A Pauli drawn for this shot, pre-expanded to (step, qubit mask, kind).
-#[derive(Debug, Clone, Copy)]
+/// Ordered so that a window's fired sets can be sorted into groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct FiredPauli {
     step: u32,
     bit: usize,
@@ -873,7 +1024,7 @@ enum EventKind {
     PhaseFlip(Qubit),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Pauli {
     X,
     Y,
@@ -1294,14 +1445,14 @@ mod checkpoint {
 
     const CASES: u64 = if cfg!(miri) { 4 } else { 64 };
 
-    fn device(qubits: u32) -> DeviceModel {
+    pub(super) fn device(qubits: u32) -> DeviceModel {
         DeviceModel::synthesize(presets::line(qubits), 7)
     }
 
     /// A random basis circuit on a line: single-qubit gates that tend to
     /// repeat on one qubit (so fusion builds multi-step spans) and CXs on
     /// neighboring pairs.
-    fn random_circuit(rng: &mut ChaCha8Rng, qubits: u32, gates: usize) -> Circuit {
+    pub(super) fn random_circuit(rng: &mut ChaCha8Rng, qubits: u32, gates: usize) -> Circuit {
         let mut c = Circuit::new(qubits, qubits);
         let mut q = 0;
         for _ in 0..gates {
@@ -1330,12 +1481,12 @@ mod checkpoint {
         c
     }
 
-    fn compile(circuit: &Circuit) -> CompiledCircuit {
+    pub(super) fn compile(circuit: &Circuit) -> CompiledCircuit {
         let d = device(circuit.num_qubits().max(2));
         NoisySimulator::from_device(&d).compile(circuit).unwrap()
     }
 
-    fn without_checkpoints(plan: &CompiledCircuit) -> CompiledCircuit {
+    pub(super) fn without_checkpoints(plan: &CompiledCircuit) -> CompiledCircuit {
         let mut bare = plan.clone();
         bare.checkpoints.clear();
         bare.checkpoint_amps.clear();
@@ -1522,5 +1673,264 @@ mod checkpoint {
         assert_eq!(plan.num_dense_qubits, 17);
         assert_eq!(plan.num_checkpoints(), 0);
         assert!(plan.checkpoint_amps.is_empty());
+    }
+}
+
+/// The two-pass shot loop against the per-shot loop it replaced, kept here
+/// as the oracle: histograms and work counts must match bit for bit. Tiny
+/// circuits and few shots keep this module cheap enough for Miri.
+#[cfg(test)]
+mod dedup {
+    use super::checkpoint::{compile, device, random_circuit, without_checkpoints};
+    use super::*;
+    use crate::statevector::sample_kernel;
+    use qdevice::presets;
+    use rand::Rng;
+
+    const CASES: u64 = if cfg!(miri) { 1 } else { 6 };
+
+    /// Shot counts around the window size, plus one run of several windows.
+    const SHOTS: &[u64] = if cfg!(miri) {
+        &[0, 1, 2, 33]
+    } else {
+        &[0, 1, 2, 1023, 1024, 1025, 5000]
+    };
+
+    /// The per-shot loop: draws, one trajectory per fired shot, one
+    /// `sample_kernel` sweep and the readout flips, shot by shot.
+    fn per_shot(plan: &CompiledCircuit, shots: u64, seed: u64) -> (Counts, ShotWork) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut counts = Counts::new(plan.num_clbits());
+        let (mut fired, mut amps) = (Vec::new(), Vec::new());
+        let mut work = ShotWork::default();
+        for _ in 0..shots {
+            fired.clear();
+            plan.sample_events(&mut rng, &mut fired);
+            let basis = if fired.is_empty() {
+                sample_cumulative(&plan.clean_cum, &mut rng)
+            } else {
+                work.replayed_shots += 1;
+                work.skipped_ops += plan.run_trajectory_into(&fired, &mut amps) as u64;
+                sample_kernel(&amps, &mut rng)
+            };
+            let mut key = 0u64;
+            for m in &plan.measurements {
+                let mut bit = (basis >> m.dense) & 1;
+                if plan.readout {
+                    let flip_prob = if bit == 1 { m.p10 } else { m.p01 };
+                    if rng.gen::<f64>() < flip_prob {
+                        bit ^= 1;
+                    }
+                }
+                key |= (bit as u64) << m.clbit;
+            }
+            counts.record(key);
+        }
+        (counts, work)
+    }
+
+    /// Runs `plan` both ways with every shot count in [`SHOTS`] (sharing
+    /// one scratch, so nothing may leak between calls) and asserts equal
+    /// histograms and per-shot work. Returns whether any window ran fewer
+    /// trajectories than it had fired shots.
+    fn assert_matches_per_shot(plan: &CompiledCircuit, seed: u64) -> bool {
+        let mut scratch = SimScratch::new();
+        let mut shared = false;
+        for &shots in SHOTS {
+            let (want, want_work) = per_shot(plan, shots, seed);
+            let mut got = Counts::new(plan.num_clbits());
+            let work = plan.run_into(shots, seed, &mut scratch, &mut got);
+            assert_eq!(got, want, "{shots} shots, seed {seed}");
+            assert_eq!(work.replayed_shots, want_work.replayed_shots);
+            assert_eq!(work.skipped_ops, want_work.skipped_ops);
+            assert!(work.distinct_trajectories <= work.replayed_shots);
+            assert_eq!(work.distinct_trajectories == 0, work.replayed_shots == 0);
+            shared |= work.distinct_trajectories < work.replayed_shots;
+        }
+        shared
+    }
+
+    /// Every channel set of the ablations, each with readout on and off.
+    fn option_sets() -> Vec<SimOptions> {
+        let mut sets = Vec::new();
+        for base in [
+            SimOptions::all(),
+            SimOptions::iid_only(),
+            SimOptions::none(),
+        ] {
+            for readout_error in [true, false] {
+                sets.push(SimOptions {
+                    readout_error,
+                    ..base
+                });
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn random_plans_match_the_per_shot_loop() {
+        let (mut shared, mut without_sites) = (false, false);
+        for case in 0..CASES {
+            let mut rng = ChaCha8Rng::seed_from_u64(case);
+            let qubits = rng.gen_range(1..=4);
+            let gates = rng.gen_range(0..32);
+            let circuit = random_circuit(&mut rng, qubits, gates);
+            let d = device(qubits.max(2));
+            for options in option_sets() {
+                let plan = NoisySimulator::from_device(&d)
+                    .with_options(options)
+                    .compile(&circuit)
+                    .unwrap();
+                without_sites |= plan.num_event_sites() == 0;
+                shared |= assert_matches_per_shot(&plan, 100 + case);
+            }
+        }
+        assert!(without_sites, "no plan without event sites");
+        // Miri's few shots need not repeat a fired set.
+        assert!(shared || cfg!(miri), "no window shared a trajectory");
+    }
+
+    #[test]
+    fn plans_without_checkpoints_match_the_per_shot_loop() {
+        for case in 0..CASES {
+            let mut rng = ChaCha8Rng::seed_from_u64(50 + case);
+            let qubits = rng.gen_range(2..=4);
+            let plan = compile(&random_circuit(&mut rng, qubits, 40));
+            let bare = without_checkpoints(&plan);
+            assert_eq!(bare.num_checkpoints(), 0);
+            assert_matches_per_shot(&bare, case);
+        }
+    }
+
+    #[test]
+    fn wide_registers_match_the_per_shot_loop() {
+        // 14 classical bits: outcomes go straight into `Counts`, not the
+        // dense histogram.
+        let mut c = Circuit::new(3, 14);
+        c.h(0).cx(0, 1).ry(2, 0.7).cx(1, 2).h(1);
+        c.measure(0, 0).measure(1, 7).measure(2, 13);
+        let d = device(3);
+        for options in [SimOptions::all(), SimOptions::iid_only()] {
+            let plan = NoisySimulator::from_device(&d)
+                .with_options(options)
+                .compile(&c)
+                .unwrap();
+            assert!(plan.num_clbits() > DENSE_HIST_BITS);
+            let shared = assert_matches_per_shot(&plan, 4);
+            assert!(shared || cfg!(miri), "no window shared a trajectory");
+        }
+    }
+
+    #[test]
+    fn sorted_sweep_returns_what_sample_kernel_returns() {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let state: Vec<C64> = (0..8)
+            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let norm = state.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        let normalized: Vec<C64> = state.iter().map(|a| a.scale(1.0 / norm)).collect();
+        // Total weight 1/4: most uniforms fall through to the last index.
+        let short: Vec<C64> = normalized.iter().map(|a| a.scale(0.5)).collect();
+        let mut sparse = normalized.clone();
+        sparse[0] = C64::new(0.0, 0.0);
+        sparse[3] = C64::new(0.0, 0.0);
+        sparse[7] = C64::new(0.0, 0.0);
+        let single = vec![C64::new(1.0, 0.0)];
+        let draws = if cfg!(miri) { 16 } else { 512 };
+        for amps in [&normalized, &short, &sparse, &single] {
+            // (u, index): `sample_kernel` on a clone of the stream draws
+            // exactly the `u` read here.
+            let mut pairs: Vec<(f64, usize)> = (0..draws)
+                .map(|_| {
+                    let mut twin = rng.clone();
+                    let u: f64 = rng.gen();
+                    (u, sample_kernel(amps, &mut twin))
+                })
+                .collect();
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut sweep = SortedSweep::new(amps);
+            for &(u, want) in &pairs {
+                assert_eq!(sweep.sample(u), want, "u {u}");
+            }
+        }
+    }
+
+    /// FNV-1a over the histogram's width and `(outcome, count)` pairs.
+    fn digest(counts: &Counts) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(&counts.num_clbits().to_le_bytes());
+        for (outcome, n) in counts.iter() {
+            eat(&outcome.to_le_bytes());
+            eat(&n.to_le_bytes());
+        }
+        h
+    }
+
+    /// Histogram digests recorded with the per-shot loop, before the
+    /// two-pass loop existed, so that they cannot move with it.
+    #[test]
+    #[cfg_attr(miri, ignore = "thousands of shots are too slow under Miri")]
+    fn histograms_match_the_digests_of_the_per_shot_loop() {
+        let mut layered = Circuit::new(3, 3);
+        for i in 0..10 {
+            layered.h(0).cx(0, 1).rx(1, 0.2 * i as f64).cx(1, 2).t(2);
+        }
+        layered.measure_all();
+        let mut bell = Circuit::new(2, 2);
+        bell.h(0).cx(0, 1).measure_all();
+        let mut wide = Circuit::new(3, 14);
+        wide.h(0).cx(0, 1).ry(2, 0.7).cx(1, 2).h(1);
+        wide.measure(0, 0).measure(1, 7).measure(2, 13);
+        // (circuit, options, shots, seed, run digest, run_parallel digest)
+        let cases = [
+            (
+                &layered,
+                SimOptions::all(),
+                5000,
+                11,
+                0xfa13241f5b6996c4u64,
+                0xe9b3c90b9d30e519u64,
+            ),
+            (
+                &bell,
+                SimOptions::iid_only(),
+                1025,
+                3,
+                0x1eae4f5cf24814a4,
+                0x05791bf37fc39b40,
+            ),
+            (
+                &wide,
+                SimOptions::all(),
+                2048,
+                5,
+                0xc4e3ed0dc7128c7f,
+                0xf456bb6c73a9748b,
+            ),
+            (
+                &layered,
+                SimOptions::none(),
+                1023,
+                9,
+                0xe1e39da5fa833755,
+                0x6be20d44336ace04,
+            ),
+        ];
+        let d = DeviceModel::synthesize(presets::melbourne14(), 42);
+        for (circuit, options, shots, seed, run, parallel) in cases {
+            let sim = NoisySimulator::from_device(&d).with_options(options);
+            assert_eq!(digest(&sim.run(circuit, shots, seed).unwrap()), run);
+            for threads in [1, 2] {
+                let counts = sim.run_parallel(circuit, shots, seed, threads).unwrap();
+                assert_eq!(digest(&counts), parallel, "{threads} thread(s)");
+            }
+        }
     }
 }

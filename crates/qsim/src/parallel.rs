@@ -183,6 +183,10 @@ impl NoisySimulator<'_> {
             "edm_qsim_resumed_ops_skipped_total",
             "Fused ops skipped by resuming trajectories from clean-prefix checkpoints"
         );
+        let distinct = edm_telemetry::counter!(
+            "edm_qsim_distinct_trajectories_total",
+            "Trajectories run: the distinct fired-event sets of each slice"
+        );
 
         // Compile each job exactly once; every slice shares the plan. A
         // job that fails validation is reported per slice below, matching
@@ -214,6 +218,7 @@ impl NoisySimulator<'_> {
                     });
                     replayed.add(work.replayed_shots);
                     skipped.add(work.skipped_ops);
+                    distinct.add(work.distinct_trajectories);
                     Ok(counts)
                 });
                 if let Some(started) = started {

@@ -1,5 +1,6 @@
 //! The shot loop's exact work counters (`edm_qsim_replayed_shots_total`,
-//! `edm_qsim_resumed_ops_skipped_total`) must not depend on the thread
+//! `edm_qsim_resumed_ops_skipped_total`,
+//! `edm_qsim_distinct_trajectories_total`) must not depend on the thread
 //! count. The counters are process-wide, so this binary holds exactly one
 //! test: no concurrently running test can move them.
 
@@ -12,15 +13,19 @@ fn counter(name: &'static str) -> u64 {
     registry().counter(name, "").get()
 }
 
-/// (replayed shots, skipped ops) added by one parallel run.
-fn work_of(sim: &NoisySimulator<'_>, c: &Circuit, shots: u64, threads: usize) -> (u64, u64) {
-    let replayed = counter("edm_qsim_replayed_shots_total");
-    let skipped = counter("edm_qsim_resumed_ops_skipped_total");
+const COUNTERS: [&str; 3] = [
+    "edm_qsim_replayed_shots_total",
+    "edm_qsim_resumed_ops_skipped_total",
+    "edm_qsim_distinct_trajectories_total",
+];
+
+/// (replayed shots, skipped ops, distinct trajectories) added by one
+/// parallel run.
+fn work_of(sim: &NoisySimulator<'_>, c: &Circuit, shots: u64, threads: usize) -> [u64; 3] {
+    let before = COUNTERS.map(counter);
     sim.run_parallel(c, shots, 11, threads).unwrap();
-    (
-        counter("edm_qsim_replayed_shots_total") - replayed,
-        counter("edm_qsim_resumed_ops_skipped_total") - skipped,
-    )
+    let after = COUNTERS.map(counter);
+    [0, 1, 2].map(|i| after[i] - before[i])
 }
 
 #[test]
@@ -38,7 +43,11 @@ fn work_counters_are_identical_across_thread_counts() {
     let one = work_of(&sim, &c, shots, 1);
     let four = work_of(&sim, &c, shots, 4);
     assert_eq!(one, four);
-    let (replayed, skipped) = one;
+    let [replayed, skipped, distinct] = one;
     assert!(replayed > 0 && replayed <= shots, "replayed {replayed}");
     assert!(skipped > 0, "no shot resumed from a checkpoint");
+    assert!(
+        distinct > 0 && distinct <= replayed,
+        "{distinct} trajectories for {replayed} replayed shots"
+    );
 }
