@@ -48,10 +48,12 @@ printed to stderr as `fleet listening on ADDR`.
 per-device label families (edm_fleet_*{device=\"dI\"}); port 0 picks an
 ephemeral port, printed to stderr.
 
---journal-dir DIR keeps crash-safe write-ahead journals under DIR: one
-per device (device-I.jsonl) plus a fleet index (fleet-index.jsonl).
-Restarting with the same DIR replays unfinished jobs bit-identically on
-their original devices and keeps old fleet job ids pollable.
+--journal-dir DIR keeps crash-safe write-ahead journals under DIR, one
+per device (device-I.jsonl). Job ids are unique fleet-wide, so restarting
+with the same DIR replays unfinished jobs bit-identically on their
+original devices under the ids clients already hold. An index file left
+by an older build is ignored; journals from such a build whose open ids
+overlap across devices are refused (exit 65).
 
 --controller enables the closed-loop adaptive controller on every device:
 feedback that reweights WEDM merges, swaps underperforming ensemble
@@ -71,7 +73,7 @@ exit codes:
   0   success
   1   unclassified failure
   2   usage error (bad flags)
-  65  data error (corrupt journal)";
+  65  data error (corrupt or conflicting journals)";
 
 /// Every flag `edm-fleet` takes a value for.
 const VALUED: &[&str] = &[
@@ -167,7 +169,7 @@ fn run(args: &[String]) -> Result<(), Fatal> {
         let journals: Vec<_> = (0..fleet.num_devices())
             .map(|i| path.join(format!("device-{i}.jsonl")))
             .collect();
-        startup::attach_journals(&fleet, &journals, path.join("fleet-index.jsonl"), dir)?;
+        startup::attach_journals(&fleet, &journals, dir)?;
     }
 
     let server = FleetServer::bind(fleet, &addr, server_config)

@@ -42,8 +42,9 @@ already opened a trace stamps them so the server's spans (admission,
 planning, pool slices, assembly) join the client's trace.
 
 --journal PATH appends a JSON-lines write-ahead journal of accepted jobs;
-restarting with the same path replays unfinished jobs bit-identically.
-Job ids are kept beside it in PATH.index.
+restarting with the same path replays unfinished jobs bit-identically
+under their original ids. PATH is the only file written; a PATH.index
+left by an older build is ignored.
 
 --metrics-port N serves Prometheus text on http://127.0.0.1:N/metrics
 (plus /metrics.json, /spans, and /healthz) and enables telemetry; port 0
@@ -155,7 +156,7 @@ fn serve<B: Backend>(
     controller_log: Option<String>,
 ) -> Result<(), Fatal> {
     if let Some(path) = &journal {
-        startup::attach_journals(fleet, &[path], format!("{path}.index"), path)?;
+        startup::attach_journals(fleet, &[path], path)?;
     }
     let mut decision_log = match controller_log {
         Some(path) => Some(

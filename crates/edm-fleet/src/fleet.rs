@@ -53,12 +53,10 @@ use edm_serve::stats::ServiceStats;
 use edm_telemetry::trace::TraceContext;
 use qcir::Circuit;
 use qdevice::DeviceModel;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
 /// How the scheduler scores a device for a circuit.
@@ -166,12 +164,11 @@ pub struct Candidate {
 /// The receipt for an accepted fleet submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ticket {
-    /// Fleet-wide job id (what clients poll).
+    /// The job id, one number fleet-wide: what clients poll and what the
+    /// routed device journals and replays.
     pub id: u64,
     /// The device the job was routed to.
     pub device: usize,
-    /// The job's id inside that device's service.
-    pub local_id: u64,
     /// The correlation id the device's service stamped on the job.
     pub trace_id: u64,
 }
@@ -211,17 +208,6 @@ impl<B: Backend> DeviceSlot<B> {
     }
 }
 
-/// One line of the fleet-index journal: which device a fleet-wide job id
-/// was routed to. Device journals are the source of truth for the jobs
-/// themselves; this file only restores the id → placement mapping so
-/// clients can keep polling across a restart.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct IndexEntry {
-    id: u64,
-    device: usize,
-    local_id: u64,
-}
-
 /// A fleet of virtual devices behind one ESP-scored router.
 ///
 /// Generic over the per-device [`Backend`] so tests can wrap
@@ -231,11 +217,10 @@ struct IndexEntry {
 /// fleet through an [`Arc`].
 pub struct Fleet<B> {
     slots: Vec<Mutex<DeviceSlot<B>>>,
-    /// Fleet job id → (device index, device-local job id).
-    index: Mutex<BTreeMap<u64, (usize, u64)>>,
-    /// Append handle for the fleet-index journal, when journaling is on.
-    index_journal: Mutex<Option<std::fs::File>>,
-    next_id: AtomicU64,
+    /// Job id → the index of the device that holds it.
+    index: Mutex<BTreeMap<u64, usize>>,
+    /// The one job-id counter every device's service draws from.
+    ids: Arc<AtomicU64>,
     config: FleetConfig,
 }
 
@@ -263,8 +248,7 @@ impl<B: Backend> Fleet<B> {
         Fleet {
             slots: Vec::new(),
             index: Mutex::new(BTreeMap::new()),
-            index_journal: Mutex::new(None),
-            next_id: AtomicU64::new(1),
+            ids: Arc::new(AtomicU64::new(1)),
             config,
         }
     }
@@ -284,7 +268,8 @@ impl<B: Backend> Fleet<B> {
             device.calibration(),
             backend,
             self.config.serve.clone(),
-        );
+        )
+        .with_ids(Arc::clone(&self.ids));
         let label = &[("device", device_label(idx))][..];
         let registry = edm_telemetry::metrics::registry();
         let slot = DeviceSlot {
@@ -436,29 +421,18 @@ impl<B: Backend> Fleet<B> {
         for device in order {
             let mut slot = self.slots[device].lock().expect("device lock poisoned");
             match slot.service.submit_with_context(request.clone(), ctx) {
-                Ok(local_id) => {
-                    let trace_id = slot.service.trace_id(local_id).unwrap_or(0);
+                Ok(id) => {
+                    let trace_id = slot.service.trace_id(id).unwrap_or(0);
                     slot.routed.inc();
                     slot.refresh_gauges();
                     drop(slot);
-                    let id = self.next_id.fetch_add(1, Ordering::SeqCst);
                     self.index
                         .lock()
                         .expect("index lock poisoned")
-                        .insert(id, (device, local_id));
-                    // After the device's own write-ahead entry, before the
-                    // client sees the ticket: a crash in between replays the
-                    // job on the device without an index line — the job
-                    // survives, only the (never-acknowledged) id is lost.
-                    self.journal_index(IndexEntry {
-                        id,
-                        device,
-                        local_id,
-                    });
+                        .insert(id, device);
                     return Ok(Ticket {
                         id,
                         device,
-                        local_id,
                         trace_id,
                     });
                 }
@@ -476,21 +450,26 @@ impl<B: Backend> Fleet<B> {
 
     /// A fleet job's current state (cloned), or `None` for an unknown id.
     pub fn poll(&self, id: u64) -> Option<JobState> {
-        let (device, local_id) = *self.index.lock().expect("index lock poisoned").get(&id)?;
+        let device = self.device_of(id)?;
         let slot = self.slots[device].lock().expect("device lock poisoned");
-        slot.service.poll(local_id).cloned()
+        slot.service.poll(id).cloned()
     }
 
     /// The correlation id the routed device's service stamped on a fleet
     /// job, or `None` for an unknown id.
     pub fn trace_id(&self, id: u64) -> Option<u64> {
-        let (device, local_id) = *self.index.lock().expect("index lock poisoned").get(&id)?;
+        let device = self.device_of(id)?;
         let slot = self.slots[device].lock().expect("device lock poisoned");
-        slot.service.trace_id(local_id)
+        slot.service.trace_id(id)
     }
 
-    /// The (device index, device-local id) a fleet job was routed to.
+    /// The (device index, job id) a fleet job was routed to. The device
+    /// holds the job under the same id the client polls.
     pub fn placement(&self, id: u64) -> Option<(usize, u64)> {
+        Some((self.device_of(id)?, id))
+    }
+
+    fn device_of(&self, id: u64) -> Option<usize> {
         self.index
             .lock()
             .expect("index lock poisoned")
@@ -626,12 +605,12 @@ impl<B: Backend> Fleet<B> {
     }
 
     /// Attaches crash-safe journals: device `i`'s write-ahead journal at
-    /// `devices[i]` (via [`JobService::attach_journal`]) plus a fleet-index
-    /// journal at `index` that restores the fleet job id → placement
-    /// mapping. Jobs a previous process accepted but never finished are
-    /// re-enqueued on their original devices with their original seeds,
-    /// and previously issued fleet ids keep resolving. Returns how many
-    /// jobs were recovered fleet-wide.
+    /// `devices[i]` (via [`JobService::attach_journal`]). Jobs a previous
+    /// process accepted but never finished are re-enqueued on their
+    /// original devices with their original ids and seeds, so every id a
+    /// client held keeps resolving; fresh ids start past every id any
+    /// journal ever issued. Returns how many jobs were recovered
+    /// fleet-wide.
     ///
     /// Call before serving traffic — recovery assumes no concurrent
     /// submissions.
@@ -639,66 +618,38 @@ impl<B: Backend> Fleet<B> {
     /// # Errors
     ///
     /// [`JournalError`] when a journal cannot be opened or a non-final line
-    /// of one is corrupt. A truncated final line (the torn write of the
-    /// crash itself) is dropped, not an error.
+    /// of one is corrupt (a truncated final line — the torn write of the
+    /// crash itself — is dropped, not an error), and
+    /// [`JournalError::Corrupt`] when two journals hold the same open id:
+    /// one id names one job, and journals whose ids overlap across devices
+    /// cannot say which job a client's id meant.
     ///
     /// # Panics
     ///
     /// Panics unless there is exactly one device journal per device.
-    pub fn attach_journals(
-        &self,
-        devices: &[impl AsRef<Path>],
-        index: impl AsRef<Path>,
-    ) -> Result<usize, JournalError> {
+    pub fn attach_journals(&self, devices: &[impl AsRef<Path>]) -> Result<usize, JournalError> {
         assert_eq!(devices.len(), self.slots.len(), "one journal per device");
         let mut recovered = 0;
-        for (slot, path) in self.slots.iter().zip(devices) {
+        for (device, (slot, path)) in self.slots.iter().zip(devices).enumerate() {
             let mut slot = slot.lock().expect("device lock poisoned");
-            recovered += slot.service.attach_journal(path)?;
+            let open = slot.service.attach_journal(path)?;
             slot.refresh_gauges();
-        }
-        let path = index.as_ref();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e.into()),
-        };
-        let mut index = self.index.lock().expect("index lock poisoned");
-        let lines: Vec<&str> = text.split('\n').collect();
-        let last = lines.len().saturating_sub(1);
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<IndexEntry>(line) {
-                Ok(entry) => {
-                    // An entry pointing past the current fleet (shrunk
-                    // config) is unroutable; its id is still reserved so
-                    // fresh tickets never collide with old ones.
-                    if entry.device < self.slots.len() {
-                        index.insert(entry.id, (entry.device, entry.local_id));
-                    }
-                    self.next_id.fetch_max(entry.id + 1, Ordering::SeqCst);
-                }
-                // Same torn-final-line tolerance as the device journals.
-                Err(_) if i == last => break,
-                Err(e) => {
+            drop(slot);
+            recovered += open.len();
+            let mut index = self.index.lock().expect("index lock poisoned");
+            for id in open {
+                if let Some(other) = index.insert(id, device) {
                     return Err(JournalError::Corrupt {
-                        line: i + 1,
-                        reason: e.to_string(),
-                    })
+                        line: 0,
+                        reason: format!(
+                            "job id {id} is open in both {} and {}",
+                            devices[other].as_ref().display(),
+                            path.as_ref().display()
+                        ),
+                    });
                 }
             }
         }
-        drop(index);
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        *self
-            .index_journal
-            .lock()
-            .expect("index journal lock poisoned") = Some(file);
         Ok(recovered)
     }
 
@@ -714,30 +665,6 @@ impl<B: Backend> Fleet<B> {
                     .take_controller_events()
             })
             .collect()
-    }
-
-    /// Appends one placement record when the index journal is attached.
-    ///
-    /// Best-effort by design: the device journal already holds the job
-    /// itself, so losing an index line only degrades that id's polls to
-    /// `Unknown` after a restart — never loses the job. A failing disk
-    /// would fail every append, so the handle is dropped on first error.
-    fn journal_index(&self, entry: IndexEntry) {
-        let mut guard = self
-            .index_journal
-            .lock()
-            .expect("index journal lock poisoned");
-        if let Some(file) = guard.as_mut() {
-            let line = serde_json::to_string(&entry).expect("index entries always serialize");
-            let ok = file
-                .write_all(line.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .and_then(|()| file.flush())
-                .is_ok();
-            if !ok {
-                *guard = None;
-            }
-        }
     }
 }
 
@@ -910,10 +837,7 @@ mod tests {
 
         let ticket = fleet.submit(request(ghz(3), 512, 11)).unwrap();
         assert_eq!(ticket.device, candidates[0].device);
-        assert_eq!(
-            fleet.placement(ticket.id),
-            Some((ticket.device, ticket.local_id))
-        );
+        assert_eq!(fleet.placement(ticket.id), Some((ticket.device, ticket.id)));
         assert!(matches!(fleet.poll(ticket.id), Some(JobState::Queued)));
         assert_eq!(fleet.process_all(), 1);
         assert!(matches!(fleet.poll(ticket.id), Some(JobState::Done(_))));

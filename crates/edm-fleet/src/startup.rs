@@ -136,8 +136,8 @@ pub fn start_telemetry(args: &[String]) -> Result<(), Fatal> {
 }
 
 /// [`Fleet::attach_journals`], reporting recovered jobs on stderr as
-/// coming from `source`. A corrupt journal exits 65, any other journal
-/// failure 1.
+/// coming from `source`. A corrupt journal, or two journals holding the
+/// same open job id, exits 65; any other journal failure 1.
 ///
 /// # Errors
 ///
@@ -145,10 +145,9 @@ pub fn start_telemetry(args: &[String]) -> Result<(), Fatal> {
 pub fn attach_journals<B: Backend>(
     fleet: &Fleet<B>,
     devices: &[impl AsRef<Path>],
-    index: impl AsRef<Path>,
     source: &str,
 ) -> Result<(), Fatal> {
-    match fleet.attach_journals(devices, index) {
+    match fleet.attach_journals(devices) {
         Ok(0) => Ok(()),
         Ok(recovered) => {
             eprintln!("recovered {recovered} unfinished job(s) from {source}");

@@ -1,6 +1,6 @@
 //! Kill-and-restart smoke test of the `edm-serve` binary with `--journal`:
-//! a job acknowledged before a crash is replayed by the next process and
-//! produces the same summary as an uninterrupted run.
+//! a job acknowledged before a crash is replayed by the next process under
+//! its original id and produces the same summary as an uninterrupted run.
 
 use edm_serve::protocol::{JobSummary, Request, Response};
 use edm_serve::queue::Priority;
@@ -71,6 +71,8 @@ fn killed_server_replays_its_journal_on_restart() {
     let journal = dir.join("serve.jsonl");
     let _ = std::fs::remove_file(&journal);
     let journal_arg = journal.to_str().unwrap();
+    let index = dir.join("serve.jsonl.index");
+    let _ = std::fs::remove_file(&index);
 
     let mut want = reference_summary();
 
@@ -123,6 +125,8 @@ fn killed_server_replays_its_journal_on_restart() {
     assert_eq!(recv(&mut out), Response::Bye);
     assert!(child.wait().expect("edm-serve exits").success());
 
+    // The journal is the only file: job ids need no side index.
+    assert!(!index.exists(), "edm-serve wrote {}", index.display());
     std::fs::remove_file(&journal).unwrap();
 }
 

@@ -240,19 +240,24 @@ impl<B: Backend> FlakyBackend<B> {
             .map(|&n| u64::from(n.min(self.failures_per_job)))
             .sum()
     }
+
+    fn inject(&self, seed: u64) -> bool {
+        let mut attempts = self.attempts.lock().expect("attempts lock poisoned");
+        let n = attempts.entry(seed).or_insert(0);
+        let hit = *n < self.failures_per_job;
+        if hit {
+            *n += 1;
+        }
+        hit
+    }
 }
 
 impl<B: Backend> Backend for FlakyBackend<B> {
     fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        {
-            let mut attempts = self.attempts.lock().expect("attempts lock poisoned");
-            let n = attempts.entry(seed).or_insert(0);
-            if *n < self.failures_per_job {
-                *n += 1;
-                return Err(SimError::BackendUnavailable {
-                    reason: "injected fault",
-                });
-            }
+        if self.inject(seed) {
+            return Err(SimError::BackendUnavailable {
+                reason: "injected fault",
+            });
         }
         self.inner.execute(circuit, shots, seed)
     }
@@ -262,44 +267,43 @@ impl<B: Backend> Backend for FlakyBackend<B> {
         jobs: &[BatchJob<'_>],
         threads: usize,
     ) -> Vec<Result<Counts, SimError>> {
-        // Inject per job, then delegate the survivors as one sub-batch.
-        // Per-job batch results must not depend on batch composition, so
-        // sub-batching keeps surviving jobs bit-identical to a fault-free
-        // full batch — which is exactly what the dispatcher tests assert.
-        let injected: Vec<bool> = {
-            let mut attempts = self.attempts.lock().expect("attempts lock poisoned");
-            jobs.iter()
-                .map(|job| {
-                    let n = attempts.entry(job.seed).or_insert(0);
-                    if *n < self.failures_per_job {
-                        *n += 1;
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .collect()
-        };
-        let survivors: Vec<BatchJob<'_>> = jobs
-            .iter()
-            .zip(&injected)
-            .filter(|(_, &inj)| !inj)
-            .map(|(job, _)| *job)
-            .collect();
-        let mut passed = self.inner.execute_batch(&survivors, threads).into_iter();
-        injected
-            .into_iter()
-            .map(|inj| {
-                if inj {
-                    Err(SimError::BackendUnavailable {
-                        reason: "injected fault",
-                    })
-                } else {
-                    passed.next().expect("one result per surviving job")
-                }
-            })
-            .collect()
+        execute_survivors(&self.inner, jobs, threads, "injected fault", |seed| {
+            self.inject(seed)
+        })
     }
+}
+
+/// The batch path of the fault injectors: fails each job whose seed
+/// `inject` picks (in job order) with a transient `reason`, and runs the
+/// rest on `inner` as one sub-batch. Per-job batch results must not depend
+/// on batch composition, so every surviving job stays bit-identical to a
+/// fault-free full batch — which is exactly what the dispatcher and chaos
+/// tests assert.
+fn execute_survivors<B: Backend>(
+    inner: &B,
+    jobs: &[BatchJob<'_>],
+    threads: usize,
+    reason: &'static str,
+    inject: impl Fn(u64) -> bool,
+) -> Vec<Result<Counts, SimError>> {
+    let injected: Vec<bool> = jobs.iter().map(|job| inject(job.seed)).collect();
+    let survivors: Vec<BatchJob<'_>> = jobs
+        .iter()
+        .zip(&injected)
+        .filter(|(_, &inj)| !inj)
+        .map(|(job, _)| *job)
+        .collect();
+    let mut passed = inner.execute_batch(&survivors, threads).into_iter();
+    injected
+        .into_iter()
+        .map(|inj| {
+            if inj {
+                Err(SimError::BackendUnavailable { reason })
+            } else {
+                passed.next().expect("one result per surviving job")
+            }
+        })
+        .collect()
 }
 
 /// Circuit-breaker tuning.
@@ -608,28 +612,9 @@ impl<B: Backend> Backend for ChaosBackend<B> {
         jobs: &[BatchJob<'_>],
         threads: usize,
     ) -> Vec<Result<Counts, SimError>> {
-        // Same sub-batching trick as FlakyBackend: surviving jobs must stay
-        // bit-identical to a chaos-free batch.
-        let injected: Vec<bool> = jobs.iter().map(|job| self.inject(job.seed)).collect();
-        let survivors: Vec<BatchJob<'_>> = jobs
-            .iter()
-            .zip(&injected)
-            .filter(|(_, &inj)| !inj)
-            .map(|(job, _)| *job)
-            .collect();
-        let mut passed = self.inner.execute_batch(&survivors, threads).into_iter();
-        injected
-            .into_iter()
-            .map(|inj| {
-                if inj {
-                    Err(SimError::BackendUnavailable {
-                        reason: "injected chaos",
-                    })
-                } else {
-                    passed.next().expect("one result per surviving job")
-                }
-            })
-            .collect()
+        execute_survivors(&self.inner, jobs, threads, "injected chaos", |seed| {
+            self.inject(seed)
+        })
     }
 }
 

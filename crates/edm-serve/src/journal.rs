@@ -65,9 +65,11 @@ pub enum JournalEntry {
 pub enum JournalError {
     /// Filesystem trouble opening, reading, or appending.
     Io(std::io::Error),
-    /// A non-final line failed to parse: the file is damaged at rest.
+    /// A non-final line failed to parse: the file is damaged at rest. Also
+    /// raised when journals contradict each other (line 0).
     Corrupt {
-        /// 1-based line number of the first bad line.
+        /// 1-based line number of the first bad line; 0 when the fault is
+        /// not on one line.
         line: usize,
         /// The parse failure.
         reason: String,
@@ -78,6 +80,7 @@ impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
+            JournalError::Corrupt { line: 0, reason } => write!(f, "journal corrupt: {reason}"),
             JournalError::Corrupt { line, reason } => {
                 write!(f, "journal corrupt at line {line}: {reason}")
             }

@@ -28,6 +28,7 @@ use qmap::Transpiler;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Knobs for a [`JobService`].
@@ -103,6 +104,16 @@ pub enum JobState {
     Failed(String),
 }
 
+/// Everything the service keeps about one job id.
+struct JobRecord {
+    state: JobState,
+    /// The job's correlation id, fixed for its whole service life, plus
+    /// the client parent span its server-side spans link under (0 when the
+    /// client sent none or the job was replayed from the journal — the
+    /// client span is gone, which only flattens the replayed trace).
+    trace: TraceContext,
+}
+
 /// A finished job's result and its accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedJob {
@@ -126,19 +137,13 @@ pub struct JobService<B> {
     journal: Option<Journal>,
     cache: CompileCache,
     queue: AdmissionQueue,
-    jobs: BTreeMap<u64, JobState>,
-    /// Correlation id per job id, live for the job's whole service life —
-    /// unlike `JobState`, it never changes as the job moves through states.
-    trace_ids: BTreeMap<u64, u64>,
-    /// Client parent-span id per job id, for jobs whose submission carried
-    /// one: server-side spans for the job parent under it, stitching the
-    /// cross-process trace tree. Dropped on restart (the client span is
-    /// gone), which only flattens — never breaks — the replayed trace.
-    trace_parents: BTreeMap<u64, u64>,
+    jobs: BTreeMap<u64, JobRecord>,
     /// Live answer-quality estimate for this device: EWMA of observed
     /// top-outcome share vs the ESP the planner predicted, per job.
     quality: QualityEstimator,
-    next_id: u64,
+    /// The next job id. A fleet shares one counter across its devices
+    /// ([`JobService::with_ids`]), so an id names one job fleet-wide.
+    ids: Arc<AtomicU64>,
     clock: Arc<dyn Clock>,
     latency: LatencyRecorder,
     config: ServeConfig,
@@ -228,10 +233,8 @@ impl<B: Backend> JobService<B> {
             cache: CompileCache::new(config.cache_capacity),
             queue: AdmissionQueue::new(config.queue_capacity),
             jobs: BTreeMap::new(),
-            trace_ids: BTreeMap::new(),
-            trace_parents: BTreeMap::new(),
             quality: QualityEstimator::new(QualityConfig::default()),
-            next_id: 1,
+            ids: Arc::new(AtomicU64::new(1)),
             clock,
             latency: LatencyRecorder::default(),
             config,
@@ -252,27 +255,48 @@ impl<B: Backend> JobService<B> {
         }
     }
 
+    /// Draws job ids from `ids` instead of this service's own counter.
+    /// A fleet hands every device the same counter, so ids are unique
+    /// across devices and a client polls one id from admission to replay.
+    /// Call before attaching a journal or submitting.
+    pub fn with_ids(mut self, ids: Arc<AtomicU64>) -> Self {
+        self.ids = ids;
+        self
+    }
+
     /// Attaches a write-ahead journal at `path`, replaying any entries a
     /// previous process left behind. Jobs that were accepted but never
     /// finished are re-enqueued under their original ids and seeds — their
     /// recovered results are bit-identical to what the interrupted run
-    /// would have produced. Returns how many jobs were recovered.
+    /// would have produced. The id counter moves past every id the journal
+    /// ever issued. Returns the ids the journal left open, including any
+    /// that recovery had to fail because the queue overflowed.
     ///
     /// # Errors
     ///
     /// [`JournalError`] when the file cannot be opened or a non-final line
     /// is corrupt (a data error — the service refuses to silently drop
     /// journaled jobs).
-    pub fn attach_journal(&mut self, path: impl AsRef<Path>) -> Result<usize, JournalError> {
+    pub fn attach_journal(&mut self, path: impl AsRef<Path>) -> Result<Vec<u64>, JournalError> {
         let (journal, entries) = Journal::open(path)?;
         let (open, max_id) = journal::outstanding(&entries);
-        let recovered = open.len();
+        let ids = open.iter().map(|job| job.id).collect();
         for recovered_job in open {
             let id = recovered_job.id;
             // The original correlation id, not a fresh one: the replayed
             // job's responses and spans stay correlatable with whatever the
             // crashed process logged about it.
-            self.trace_ids.insert(id, recovered_job.trace_id);
+            let trace = TraceContext {
+                trace_id: recovered_job.trace_id,
+                parent_span: 0,
+            };
+            self.jobs.insert(
+                id,
+                JobRecord {
+                    state: JobState::Queued,
+                    trace,
+                },
+            );
             let job = QueuedJob {
                 id,
                 request: recovered_job.request,
@@ -280,7 +304,6 @@ impl<B: Backend> JobService<B> {
             };
             match self.queue.push(job) {
                 Ok(()) => {
-                    self.jobs.insert(id, JobState::Queued);
                     self.submitted += 1;
                     self.recovered += 1;
                     edm_telemetry::counter!(
@@ -294,9 +317,9 @@ impl<B: Backend> JobService<B> {
                 Err(e) => self.fail(id, format!("recovery dropped the job: {e}")),
             }
         }
-        self.next_id = self.next_id.max(max_id + 1);
+        self.ids.fetch_max(max_id + 1, Ordering::SeqCst);
         self.journal = Some(journal);
-        Ok(recovered)
+        Ok(ids)
     }
 
     /// Validates and enqueues a job, returning its id.
@@ -340,7 +363,7 @@ impl<B: Backend> JobService<B> {
                 capacity: self.config.queue_capacity,
             });
         }
-        let id = self.next_id;
+        let id = self.ids.fetch_add(1, Ordering::SeqCst);
         let trace_id = if ctx.trace_id != 0 {
             ctx.trace_id
         } else {
@@ -354,7 +377,7 @@ impl<B: Backend> JobService<B> {
         // Write-ahead: the journal entry lands on disk before the job is
         // acknowledged, so an accepted job survives a crash. A job we
         // cannot journal is refused — accepting it silently would break
-        // the recovery contract.
+        // the recovery contract — and its id is left unused.
         if let Some(journal) = &mut self.journal {
             let entry = JournalEntry::Accepted {
                 id,
@@ -378,33 +401,33 @@ impl<B: Backend> JobService<B> {
         self.queue
             .push(job)
             .expect("capacity was checked before journaling");
-        self.next_id += 1;
         self.submitted += 1;
-        self.trace_ids.insert(id, trace_id);
-        if ctx.parent_span != 0 {
-            self.trace_parents.insert(id, ctx.parent_span);
-        }
         edm_telemetry::counter!("edm_serve_submitted_total", "Jobs admitted to the queue").inc();
-        edm_telemetry::gauge!("edm_serve_queue_depth", "Jobs waiting in the queue")
-            .set(self.queue.len() as i64);
-        self.jobs.insert(id, JobState::Queued);
+        self.jobs.insert(
+            id,
+            JobRecord {
+                state: JobState::Queued,
+                trace: TraceContext {
+                    trace_id,
+                    parent_span: ctx.parent_span,
+                },
+            },
+        );
         Ok(id)
     }
 
     /// The correlation id assigned to `id` at submission (or recovered from
     /// the journal), if the id was ever issued.
     pub fn trace_id(&self, id: u64) -> Option<u64> {
-        self.trace_ids.get(&id).copied()
+        self.jobs.get(&id).map(|record| record.trace.trace_id)
     }
 
-    /// The trace context every span of job `id` links into: the job's
-    /// trace id plus the client parent span (0 when the client sent none
-    /// or the job was replayed from the journal).
+    /// The trace context every span of job `id` links into.
     fn job_context(&self, id: u64) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id(id).unwrap_or(0),
-            parent_span: self.trace_parents.get(&id).copied().unwrap_or(0),
-        }
+        self.jobs
+            .get(&id)
+            .map(|record| record.trace)
+            .unwrap_or_default()
     }
 
     fn reject(&mut self) {
@@ -426,8 +449,6 @@ impl<B: Backend> JobService<B> {
             return 0;
         }
         let processed = drained.len();
-        edm_telemetry::gauge!("edm_serve_queue_depth", "Jobs waiting in the queue")
-            .set(self.queue.len() as i64);
 
         // Phase 1: compile (through the cache) and plan each request.
         // Failures are terminal for that request only.
@@ -543,8 +564,7 @@ impl<B: Backend> JobService<B> {
                             .inc();
                         }
                         self.journal_finished(JournalEntry::Completed { id });
-                        self.jobs
-                            .insert(id, JobState::Done(CompletedJob { result, latency_ms }));
+                        self.set_state(id, JobState::Done(CompletedJob { result, latency_ms }));
                     }
                     Err(e) => self.fail(id, e.to_string()),
                 }
@@ -568,7 +588,7 @@ impl<B: Backend> JobService<B> {
 
     /// A submitted job's current state, or `None` for an unknown id.
     pub fn poll(&self, id: u64) -> Option<&JobState> {
-        self.jobs.get(&id)
+        self.jobs.get(&id).map(|record| &record.state)
     }
 
     /// Simulates a recalibration: bumps the calibration generation and
@@ -603,16 +623,6 @@ impl<B: Backend> JobService<B> {
         // quarantined and avoided by every compilation until rates
         // stabilize.
         self.watchdog.observe(&self.calibration);
-        edm_telemetry::gauge!(
-            "edm_serve_quarantined_qubits",
-            "Qubits currently quarantined by the drift watchdog"
-        )
-        .set(self.watchdog.quarantine().num_qubits() as i64);
-        edm_telemetry::gauge!(
-            "edm_serve_quarantined_links",
-            "Links currently quarantined by the drift watchdog"
-        )
-        .set(self.watchdog.quarantine().num_links() as i64);
     }
 
     /// The drift watchdog (thresholds, current quarantine, event count).
@@ -867,7 +877,14 @@ impl<B: Backend> JobService<B> {
         )
         .inc();
         self.journal_finished(JournalEntry::Failed { id });
-        self.jobs.insert(id, JobState::Failed(reason));
+        self.set_state(id, JobState::Failed(reason));
+    }
+
+    /// Moves a job this service holds to `state`.
+    fn set_state(&mut self, id: u64, state: JobState) {
+        if let Some(record) = self.jobs.get_mut(&id) {
+            record.state = state;
+        }
     }
 
     /// Journals a terminal transition. Unlike admission, a failed append
@@ -1080,6 +1097,34 @@ mod tests {
     }
 
     #[test]
+    fn register_wider_than_a_histogram_key_fails_the_job_not_the_device() {
+        let device = DeviceModel::synthesize(presets::melbourne14(), 11);
+        let backend = NoisySimulator::from_device(&device);
+        let mut svc = JobService::new(
+            device.topology().clone(),
+            device.calibration(),
+            backend,
+            small_config(),
+        );
+        let mut wide = Circuit::new(3, 64);
+        wide.h(0).cx(0, 1).cx(1, 2);
+        wide.measure(0, 0).measure(1, 1).measure(2, 63);
+        let bad = svc.submit(request(wide, 256, 1)).unwrap();
+        assert_eq!(svc.process_pending(), 1);
+        match svc.poll(bad) {
+            Some(JobState::Failed(reason)) => {
+                assert!(reason.contains("64 classical bits"), "got: {reason}")
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        // The device is still serving.
+        let ok = svc.submit(request(ghz(3), 256, 2)).unwrap();
+        assert_eq!(svc.process_pending(), 1);
+        assert!(matches!(svc.poll(ok), Some(JobState::Done(_))));
+        assert_eq!(svc.breaker_state(), crate::dispatch::BreakerState::Closed);
+    }
+
+    #[test]
     fn replayed_jobs_keep_their_original_trace_id() {
         let dir = std::env::temp_dir().join(format!(
             "edm-serve-trace-replay-{}-{:?}",
@@ -1118,7 +1163,7 @@ mod tests {
             backend,
             small_config(),
         );
-        assert_eq!(svc.attach_journal(&path).unwrap(), 1);
+        assert_eq!(svc.attach_journal(&path).unwrap(), vec![1]);
         assert_eq!(svc.trace_id(1), Some(original_trace));
         svc.process_all();
         assert!(matches!(svc.poll(1), Some(JobState::Done(_))));
@@ -1234,7 +1279,7 @@ mod tests {
             backend,
             small_config(),
         );
-        assert_eq!(svc.attach_journal(&path).unwrap(), 1);
+        assert_eq!(svc.attach_journal(&path).unwrap(), vec![1]);
         assert_eq!(
             svc.trace_id(1),
             Some(client_trace),

@@ -196,7 +196,7 @@ fn journal_replay_is_bit_identical() {
             config(),
             Arc::new(ManualClock::new()),
         );
-        assert_eq!(svc.attach_journal(&path).unwrap(), 0);
+        assert!(svc.attach_journal(&path).unwrap().is_empty());
         first_id = svc.submit(request(bv(), 1024, 5)).unwrap();
         svc.process_all();
         assert!(matches!(svc.poll(first_id), Some(JobState::Done(_))));
@@ -214,7 +214,11 @@ fn journal_replay_is_bit_identical() {
         Arc::new(ManualClock::new()),
     );
     let recovered = svc.attach_journal(&path).unwrap();
-    assert_eq!(recovered, 1, "only the unfinished job replays");
+    assert_eq!(
+        recovered,
+        vec![crashed_id],
+        "only the unfinished job replays"
+    );
     assert_eq!(svc.stats().recovered, 1);
     // The finished job does not reappear...
     assert!(svc.poll(first_id).is_none());
@@ -279,7 +283,7 @@ fn journal_replay_survives_chaos() {
         config(),
         Arc::new(ManualClock::new()),
     );
-    assert_eq!(svc.attach_journal(&path).unwrap(), 1);
+    assert_eq!(svc.attach_journal(&path).unwrap(), vec![id]);
     svc.process_all();
     let Some(JobState::Done(got)) = svc.poll(id) else {
         panic!("recovered chaotic job failed: {:?}", svc.poll(id));

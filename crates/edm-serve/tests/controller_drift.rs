@@ -251,7 +251,7 @@ fn journal_replay_reproduces_the_swap_sequence() {
     // First process: accepts the jobs, crashes before processing any.
     let ids: Vec<u64> = {
         let mut svc = fresh(&d);
-        assert_eq!(svc.attach_journal(&path).unwrap(), 0);
+        assert!(svc.attach_journal(&path).unwrap().is_empty());
         (0..JOBS)
             .map(|_| svc.submit(request(RUN_SEED)).unwrap())
             .collect()
@@ -260,7 +260,7 @@ fn journal_replay_reproduces_the_swap_sequence() {
 
     // Second process: replays and finishes them.
     let mut svc = fresh(&d);
-    assert_eq!(svc.attach_journal(&path).unwrap() as u64, JOBS);
+    assert_eq!(svc.attach_journal(&path).unwrap(), ids);
     assert_eq!(svc.process_all() as u64, JOBS);
     let got: Vec<_> = ids.iter().map(|&id| done(&svc, id)).collect();
 

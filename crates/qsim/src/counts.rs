@@ -4,6 +4,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// The widest classical register a histogram key (a `u64`) can hold.
+pub const MAX_CLBITS: u32 = 63;
+
 /// A histogram of measured classical outcomes.
 ///
 /// Outcomes are stored as integers: bit `c` of the key is the value measured
@@ -36,9 +39,12 @@ impl Counts {
     ///
     /// # Panics
     ///
-    /// Panics if `num_clbits > 63`.
+    /// Panics if `num_clbits > MAX_CLBITS`.
     pub fn new(num_clbits: u32) -> Self {
-        assert!(num_clbits <= 63, "at most 63 classical bits supported");
+        assert!(
+            num_clbits <= MAX_CLBITS,
+            "at most {MAX_CLBITS} classical bits supported"
+        );
         Counts {
             num_clbits,
             shots: 0,

@@ -22,6 +22,12 @@ pub enum SimError {
         /// The reused classical bit.
         clbit: u32,
     },
+    /// The classical register is wider than a histogram key can hold
+    /// ([`MAX_CLBITS`](crate::counts::MAX_CLBITS)).
+    TooManyClbits {
+        /// Classical bits the circuit declares.
+        clbits: u32,
+    },
     /// A CX was applied to a physically uncoupled qubit pair.
     UncoupledQubits {
         /// First qubit.
@@ -86,6 +92,13 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "classical bit {clbit} receives more than one measurement"
+                )
+            }
+            SimError::TooManyClbits { clbits } => {
+                write!(
+                    f,
+                    "circuit has {clbits} classical bits but at most {} are supported",
+                    crate::counts::MAX_CLBITS
                 )
             }
             SimError::UncoupledQubits { a, b } => {
@@ -154,6 +167,7 @@ mod tests {
             SimError::UnsupportedGate { name: "ccx" },
             SimError::MidCircuitMeasurement { qubit: 3 },
             SimError::ClbitReused { clbit: 1 },
+            SimError::TooManyClbits { clbits: 64 },
             SimError::UncoupledQubits { a: 0, b: 5 },
             SimError::TooManyQubits {
                 circuit: 20,

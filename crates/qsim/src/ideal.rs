@@ -3,15 +3,22 @@
 //! Used to determine each benchmark's *correct answer* (the paper's
 //! "error-free output") and to verify circuit constructions.
 
+use crate::counts::MAX_CLBITS;
 use crate::error::SimError;
 use crate::statevector::StateVector;
 use qcir::{Circuit, Clbit, Gate, Qubit};
 use std::collections::BTreeMap;
 
-/// Extracts the measurement map of a circuit, verifying that measurements
-/// are terminal (no operation touches a qubit after it is measured) and that
-/// every classical bit is written at most once.
+/// Extracts the measurement map of a circuit, verifying that the classical
+/// register fits a histogram key, that measurements are terminal (no
+/// operation touches a qubit after it is measured), and that every
+/// classical bit is written at most once.
 pub(crate) fn measurement_map(circuit: &Circuit) -> Result<Vec<(Qubit, Clbit)>, SimError> {
+    if circuit.num_clbits() > MAX_CLBITS {
+        return Err(SimError::TooManyClbits {
+            clbits: circuit.num_clbits(),
+        });
+    }
     let mut measured: Vec<bool> = vec![false; circuit.num_qubits() as usize];
     let mut clbit_used: Vec<bool> = vec![false; circuit.num_clbits() as usize];
     let mut map = Vec::new();
@@ -37,8 +44,9 @@ pub(crate) fn measurement_map(circuit: &Circuit) -> Result<Vec<(Qubit, Clbit)>, 
 ///
 /// # Errors
 ///
-/// Returns an error if a measured qubit is used afterwards or a classical
-/// bit is written twice (the same validity conditions as the samplers).
+/// Returns an error if the circuit has more than [`MAX_CLBITS`] classical
+/// bits, a measured qubit is used afterwards, or a classical bit is written
+/// twice (the same validity conditions as the samplers).
 pub fn final_state(circuit: &Circuit) -> Result<StateVector, SimError> {
     measurement_map(circuit)?;
     let mut sv = StateVector::zero_state(circuit.num_qubits());

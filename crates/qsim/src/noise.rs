@@ -228,6 +228,8 @@ impl<'a> NoisySimulator<'a> {
     /// # Errors
     ///
     /// - [`SimError::TooManyQubits`] if the circuit is wider than the device.
+    /// - [`SimError::TooManyClbits`] if its classical register does not fit
+    ///   a histogram key.
     /// - [`SimError::UnsupportedGate`] for gates outside the device basis.
     /// - [`SimError::UncoupledQubits`] for a CX on a non-edge.
     /// - [`SimError::MidCircuitMeasurement`] / [`SimError::ClbitReused`] for
@@ -1210,6 +1212,19 @@ mod tests {
                 device: 14
             }
         );
+    }
+
+    #[test]
+    fn register_wider_than_a_histogram_key_is_rejected_not_a_panic() {
+        let d = device();
+        let sim = NoisySimulator::from_device(&d);
+        let mut c = Circuit::new(2, 64);
+        c.h(0).measure(0, 63);
+        let want = SimError::TooManyClbits { clbits: 64 };
+        assert_eq!(sim.run(&c, 8, 0).unwrap_err(), want);
+        let batch = sim.run_batch(&[crate::parallel::BatchJob::new(&c, 8, 0)], 1);
+        assert_eq!(batch[0].as_ref().unwrap_err(), &want);
+        assert_eq!(crate::ideal::probabilities(&c).unwrap_err(), want);
     }
 
     #[test]

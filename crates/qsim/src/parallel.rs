@@ -234,9 +234,14 @@ impl NoisySimulator<'_> {
             .map(|r| r.unwrap_or_else(|detail| Err(SimError::ExecutionPanicked { detail })));
 
         // Merge per job, in slice order; a job's first failing slice wins.
-        let mut out: Vec<Result<Counts, SimError>> = jobs
+        // A job that failed validation starts (and stays) failed: its
+        // circuit may not even fit a histogram.
+        let mut out: Vec<Result<Counts, SimError>> = compiled
             .iter()
-            .map(|job| Ok(Counts::new(job.circuit.num_clbits())))
+            .map(|plan| match plan {
+                Ok(plan) => Ok(Counts::new(plan.num_clbits())),
+                Err(e) => Err(e.clone()),
+            })
             .collect();
         for (&(j, _, _), sliced) in items.iter().zip(slice_results) {
             match (&mut out[j], sliced) {

@@ -178,7 +178,7 @@ exit codes:
   0   success
   1   unclassified failure
   2   usage error (unknown or bad flags / arguments)
-  65  data error (missing or unparseable circuit file)
+  65  data error (missing, unparseable, or unsimulable circuit file)
   75  transient backend failure; rerunning may succeed";
 
 impl From<flags::FlagError> for CliError {
@@ -326,7 +326,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let wall_start = std::time::Instant::now();
     let correct = {
         let _span = edm_telemetry::trace::span("ideal_reference");
-        ideal::outcome(&circuit).map_err(|e| CliError::other(e.to_string()))?
+        ideal::outcome(&circuit).map_err(|e| CliError::data(e.to_string()))?
     };
     let device;
     let cal;
@@ -410,7 +410,7 @@ fn cmd_run_adaptive(
     topology: Topology,
     mapper: MapperSelection,
 ) -> Result<(), CliError> {
-    let correct = ideal::outcome(circuit).map_err(|e| CliError::other(e.to_string()))?;
+    let correct = ideal::outcome(circuit).map_err(|e| CliError::data(e.to_string()))?;
     let width = circuit.num_clbits();
     let device = DeviceModel::synthesize(topology, seed);
     let cal = device.calibration();

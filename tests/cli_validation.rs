@@ -115,3 +115,29 @@ fn misspelled_map_flag_is_a_usage_error() {
     );
     assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
 }
+
+#[test]
+fn register_wider_than_63_bits_is_a_data_error() {
+    let path = std::env::temp_dir().join(format!(
+        "edm_cli_validation_wide_register_{}.qasm",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[64];\n\
+         h q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[63];\n",
+    )
+    .expect("write qasm fixture");
+    let out = run_cli(&[
+        "run",
+        path.to_str().unwrap(),
+        "--shots",
+        "64",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(65), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("64 classical bits"), "stderr was: {stderr}");
+    let _ = std::fs::remove_file(&path);
+}
