@@ -1,7 +1,8 @@
 //! Pipeline latency profile: runs the IST workload suite with telemetry
 //! enabled and writes `BENCH_pipeline.json` — per-stage histogram counts
-//! with p50/p99/mean microseconds — so CI archives stage latency alongside
-//! the paper's figures and a regression shows up as a diff.
+//! with p50/p99/mean microseconds, the exact work counters, and the gauges
+//! (such as the shot loop's SIMD tier) — so CI archives stage latency
+//! alongside the paper's figures and a regression shows up as a diff.
 //!
 //! Flags:
 //!
@@ -100,6 +101,7 @@ fn main() {
 
     let mut stages = Vec::new();
     let mut counters = Vec::new();
+    let mut gauges = Vec::new();
     for metric in registry().snapshot() {
         match metric {
             MetricSnapshot::Histogram { name, snapshot, .. } => {
@@ -122,7 +124,12 @@ fn main() {
                     value,
                 });
             }
-            MetricSnapshot::Gauge { .. } => {}
+            MetricSnapshot::Gauge { name, value, .. } => {
+                gauges.push(perfgate::GaugeValue {
+                    name: name.to_string(),
+                    value,
+                });
+            }
         }
     }
 
@@ -131,6 +138,7 @@ fn main() {
         workload_runs,
         stages,
         counters,
+        gauges,
     };
     let json = serde_json::to_string_pretty(&doc).expect("profile document serializes");
     if let Some(dir) = args.out.parent() {
@@ -138,10 +146,11 @@ fn main() {
     }
     std::fs::write(&args.out, json).expect("write profile JSON");
     println!(
-        "wrote {}: {} stage histogram(s), {} counter(s), {} workload run(s)",
+        "wrote {}: {} stage histogram(s), {} counter(s), {} gauge(s), {} workload run(s)",
         args.out.display(),
         doc.stages.len(),
         doc.counters.len(),
+        doc.gauges.len(),
         doc.workload_runs
     );
 

@@ -25,6 +25,10 @@
 //! count. A counter that differs from the baseline, or is missing from the
 //! current run, means the work itself changed: the baseline must then be
 //! regenerated deliberately, with the change that moved it.
+//!
+//! Gauges are recorded but never gated. The one the profile sees,
+//! `edm_qsim_kernel_tier`, says which SIMD tier the shot loop ran at: a
+//! fact about the host, which explains its latencies but changes no work.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,6 +63,15 @@ pub struct CounterValue {
     pub value: u64,
 }
 
+/// One gauge, recorded for context and never gated.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct GaugeValue {
+    /// Telemetry gauge name.
+    pub name: String,
+    /// Final gauge value.
+    pub value: i64,
+}
+
 /// The whole document `pipeline_profile` writes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PipelineBench {
@@ -70,6 +83,9 @@ pub struct PipelineBench {
     pub stages: Vec<StageLatency>,
     /// Domain counters.
     pub counters: Vec<CounterValue>,
+    /// Gauges (absent from documents written before gauges were kept).
+    #[serde(default)]
+    pub gauges: Vec<GaugeValue>,
 }
 
 impl PipelineBench {
@@ -229,6 +245,7 @@ mod tests {
             workload_runs: 8,
             stages,
             counters: vec![],
+            gauges: vec![],
         }
     }
 
@@ -416,5 +433,28 @@ mod tests {
         assert_eq!(back.stages[0].name, "a_us");
         assert!((back.stages[0].mean_us - 123.4).abs() < 1e-9);
         assert_eq!(back.shots, 4096);
+    }
+
+    #[test]
+    fn gauges_are_recorded_but_not_gated() {
+        let tier = |value| GaugeValue {
+            name: "edm_qsim_kernel_tier".to_string(),
+            value,
+        };
+        let mut base = counted(&[("a_total", 5)]);
+        base.gauges = vec![tier(2)];
+        let mut current = base.clone();
+        current.gauges = vec![tier(0)];
+        assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
+        current.gauges.clear();
+        assert!(compare(&base, &current, 1.25, DEFAULT_MIN_MEAN_US).is_empty());
+        let back = PipelineBench::from_json(&serde_json::to_string(&base).unwrap()).unwrap();
+        assert_eq!(back.gauges[0].value, 2);
+    }
+
+    #[test]
+    fn documents_without_gauges_still_parse() {
+        let json = r#"{"shots":4096,"workload_runs":1,"stages":[],"counters":[]}"#;
+        assert!(PipelineBench::from_json(json).unwrap().gauges.is_empty());
     }
 }

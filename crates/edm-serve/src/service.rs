@@ -281,6 +281,9 @@ impl<B: Backend> JobService<B> {
         let (journal, entries) = Journal::open(path)?;
         let (open, max_id) = journal::outstanding(&entries);
         let ids = open.iter().map(|job| job.id).collect();
+        // Attached before the replay: a job recovery fails must be
+        // journaled `Failed`, or the next start would recover it again.
+        self.journal = Some(journal);
         for recovered_job in open {
             let id = recovered_job.id;
             // The original correlation id, not a fresh one: the replayed
@@ -318,7 +321,6 @@ impl<B: Backend> JobService<B> {
             }
         }
         self.ids.fetch_max(max_id + 1, Ordering::SeqCst);
-        self.journal = Some(journal);
         Ok(ids)
     }
 
@@ -1172,6 +1174,65 @@ mod tests {
             Some(original_trace),
             "trace id survives processing"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_job_recovery_drops_for_overflow_is_journaled_failed_and_stays_failed() {
+        let dir = std::env::temp_dir().join(format!(
+            "edm-serve-overflow-replay-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let _ = std::fs::remove_file(&path);
+
+        let device = DeviceModel::synthesize(presets::melbourne14(), 11);
+        let start = |queue_capacity: usize| {
+            JobService::new(
+                device.topology().clone(),
+                device.calibration(),
+                NoisySimulator::from_device(&device),
+                ServeConfig {
+                    queue_capacity,
+                    ..small_config()
+                },
+            )
+        };
+
+        // First process: three jobs accepted, then a crash before any runs.
+        {
+            let mut svc = start(8);
+            svc.attach_journal(&path).unwrap();
+            for seed in 1..=3 {
+                svc.submit(request(ghz(2), 64, seed)).unwrap();
+            }
+        }
+
+        // Second process, queue of two: job 3 overflows recovery and fails.
+        {
+            let mut svc = start(2);
+            assert_eq!(svc.attach_journal(&path).unwrap(), vec![1, 2, 3]);
+            assert!(matches!(svc.poll(3), Some(JobState::Failed(_))));
+            svc.process_all();
+            assert!(matches!(svc.poll(1), Some(JobState::Done(_))));
+            assert!(matches!(svc.poll(2), Some(JobState::Done(_))));
+        }
+        let (_, entries) = Journal::open(&path).unwrap();
+        assert!(
+            entries
+                .iter()
+                .any(|e| matches!(e, JournalEntry::Failed { id: 3 })),
+            "the overflowed job must be journaled Failed: {entries:?}"
+        );
+
+        // Third process: nothing is left open, and job 3 stays unknown
+        // instead of being recovered and finished after it was failed.
+        let mut svc = start(2);
+        assert_eq!(svc.attach_journal(&path).unwrap(), Vec::<u64>::new());
+        assert_eq!(svc.poll(3), None);
+        assert_eq!(svc.stats().recovered, 0);
         std::fs::remove_file(&path).unwrap();
     }
 

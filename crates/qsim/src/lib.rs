@@ -16,7 +16,9 @@
 //! - [`parallel`] / [`pool`] / [`rngstream`] — the deterministic parallel
 //!   execution engine: fixed shot slices with forked seed streams fanned
 //!   out over a persistent worker pool, bit-identical for any thread
-//!   count.
+//!   count. The shot loop's kernels run at the CPU's SIMD width (portable,
+//!   AVX2 or AVX-512F, picked at run time), with the same floats on every
+//!   tier.
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod complex;
 pub mod counts;
@@ -55,6 +58,7 @@ pub mod parallel;
 pub mod pool;
 pub mod rngstream;
 mod statevector;
+mod tier;
 pub mod verify;
 
 pub use counts::Counts;

@@ -68,6 +68,7 @@ use crate::statevector::{
     apply_1q_kernel, apply_cx_kernel, apply_x_kernel, apply_y_kernel, apply_z_kernel, reset_zero,
     StateVector,
 };
+use crate::tier::{self, Tier, Tiered};
 use qcir::{Circuit, Gate, Qubit};
 use qdevice::{DeviceModel, Edge, NoiseParams, Topology};
 use rand::{Rng, SeedableRng};
@@ -499,8 +500,8 @@ fn checkpoint_stride(ops: usize, qubits: u32) -> Option<usize> {
 
 /// Exact work done by one [`CompiledCircuit::run_into`] call.
 ///
-/// All three counts are deterministic functions of `(plan, shots, seed)`,
-/// so they sum to the same totals for any thread count.
+/// All four counts are deterministic functions of `(plan, shots, seed)`,
+/// so they sum to the same totals for any thread count and any SIMD tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShotWork {
     /// Shots that took a trajectory's state (at least one event fired)
@@ -512,6 +513,9 @@ pub struct ShotWork {
     /// Trajectories actually run: the distinct fired-event sets among each
     /// window's replayed shots (at most `replayed_shots`).
     pub distinct_trajectories: u64,
+    /// Amplitude-kernel calls those trajectories made: fused ops, prims
+    /// replayed inside a fused span a Pauli split, and the Paulis.
+    pub kernel_ops: u64,
 }
 
 impl CompiledCircuit {
@@ -575,6 +579,10 @@ impl CompiledCircuit {
     /// classical bits fall back from the dense histogram to direct
     /// `Counts` recording, which may allocate per newly seen outcome.
     ///
+    /// The shot loop runs compiled for the widest SIMD tier the CPU
+    /// supports (portable, AVX2 or AVX-512F), picked once per call; every
+    /// tier returns the same histogram and work, bit for bit.
+    ///
     /// # Panics
     ///
     /// Panics if `counts` was created with a different classical-register
@@ -591,6 +599,26 @@ impl CompiledCircuit {
             self.num_clbits,
             "counts width must match the compiled circuit"
         );
+        let job = RunInto {
+            plan: self,
+            shots,
+            seed,
+            scratch,
+            counts,
+        };
+        tier::dispatch(Tier::detected(), job)
+    }
+
+    /// The body of [`CompiledCircuit::run_into`], inlined into each
+    /// tier's copy.
+    #[inline(always)]
+    fn run_shots(
+        &self,
+        shots: u64,
+        seed: u64,
+        scratch: &mut SimScratch,
+        counts: &mut Counts,
+    ) -> ShotWork {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let dense = self.num_clbits <= DENSE_HIST_BITS;
         let hist_len = 1usize << self.num_clbits.min(DENSE_HIST_BITS);
@@ -644,10 +672,12 @@ impl CompiledCircuit {
                     .then(a.u.total_cmp(&b.u))
             });
             for group in deferred.chunk_by(|a, b| fired[a.fired()] == fired[b.fired()]) {
-                let skipped = self.run_trajectory_into(&fired[group[0].fired()], amps);
+                let (skipped, kernel_ops) =
+                    self.run_trajectory_into(&fired[group[0].fired()], amps);
                 work.distinct_trajectories += 1;
                 work.replayed_shots += group.len() as u64;
                 work.skipped_ops += (skipped * group.len()) as u64;
+                work.kernel_ops += kernel_ops;
                 let mut sweep = SortedSweep::new(amps);
                 for shot in group {
                     record(self.readout_key(sweep.sample(shot.u), shot.flips));
@@ -741,8 +771,9 @@ impl CompiledCircuit {
     }
 
     /// Runs one trajectory with the given fired Paulis (step-sorted) into
-    /// `amps`, reusing its capacity, and returns the number of fused ops
-    /// skipped by resuming from a checkpoint.
+    /// `amps`, reusing its capacity. Returns the number of fused ops
+    /// skipped by resuming from a checkpoint and the number of kernel
+    /// calls made.
     ///
     /// The walk starts from the last checkpoint whose `min_step` is at or
     /// before the first fired step (or from |0…0⟩ when none qualifies):
@@ -756,7 +787,8 @@ impl CompiledCircuit {
     /// unfused primitive range with exact step interleaving; Paulis at a
     /// step apply after *all* primitives of that step, exactly as the
     /// unfused executor ordered them.
-    fn run_trajectory_into(&self, fired: &[FiredPauli], amps: &mut Vec<C64>) -> usize {
+    #[inline(always)]
+    fn run_trajectory_into(&self, fired: &[FiredPauli], amps: &mut Vec<C64>) -> (usize, u64) {
         let resume = fired.first().and_then(|first| {
             let c = self
                 .checkpoints
@@ -775,6 +807,9 @@ impl CompiledCircuit {
                 0
             }
         };
+        // Every Pauli and every walked fused op is one kernel call; a split
+        // op makes one per prim instead.
+        let mut kernel_ops = (fired.len() + self.fused.len() - start) as u64;
         let mut fi = 0;
         for f in &self.fused[start..] {
             while fi < fired.len() && fired[fi].step < f.first_step {
@@ -782,6 +817,7 @@ impl CompiledCircuit {
                 fi += 1;
             }
             if fi < fired.len() && fired[fi].step < f.last_step {
+                kernel_ops += f.prims.len() as u64 - 1;
                 for p in &self.prims[f.prims.clone()] {
                     while fi < fired.len() && fired[fi].step < p.step {
                         apply_pauli(amps, fired[fi]);
@@ -797,7 +833,7 @@ impl CompiledCircuit {
             apply_pauli(amps, fired[fi]);
             fi += 1;
         }
-        start
+        (start, kernel_ops)
     }
 
     /// The coherent-only ("clean") trajectory as a state vector — the
@@ -806,6 +842,26 @@ impl CompiledCircuit {
         let mut amps = Vec::new();
         self.run_trajectory_into(&[], &mut amps);
         StateVector::from_amplitudes(self.num_dense_qubits, amps)
+    }
+}
+
+/// One [`CompiledCircuit::run_into`] call, as the job [`tier::dispatch`]
+/// compiles once per SIMD tier.
+struct RunInto<'a> {
+    plan: &'a CompiledCircuit,
+    shots: u64,
+    seed: u64,
+    scratch: &'a mut SimScratch,
+    counts: &'a mut Counts,
+}
+
+impl Tiered for RunInto<'_> {
+    type Output = ShotWork;
+
+    #[inline(always)]
+    fn run(self) -> ShotWork {
+        self.plan
+            .run_shots(self.shots, self.seed, self.scratch, self.counts)
     }
 }
 
@@ -900,6 +956,7 @@ impl<'a> SortedSweep<'a> {
     }
 }
 
+#[inline(always)]
 fn apply_prim(amps: &mut [C64], op: &fuse::PrimOp) {
     match *op {
         fuse::PrimOp::Unary { qubit, m } => {
@@ -911,6 +968,7 @@ fn apply_prim(amps: &mut [C64], op: &fuse::PrimOp) {
     }
 }
 
+#[inline(always)]
 fn apply_pauli(amps: &mut [C64], fp: FiredPauli) {
     match fp.pauli {
         Pauli::X => apply_x_kernel(amps, fp.bit),
@@ -1520,9 +1578,11 @@ mod checkpoint {
     /// states agree bit for bit, and returns the ops the plan skipped.
     fn assert_resumes_exactly(plan: &CompiledCircuit, fired: &[FiredPauli]) -> usize {
         let (mut resumed, mut replayed) = (Vec::new(), Vec::new());
-        let skipped = plan.run_trajectory_into(fired, &mut resumed);
+        let (skipped, _) = plan.run_trajectory_into(fired, &mut resumed);
         assert_eq!(
-            without_checkpoints(plan).run_trajectory_into(fired, &mut replayed),
+            without_checkpoints(plan)
+                .run_trajectory_into(fired, &mut replayed)
+                .0,
             0
         );
         let bits = |v: &[C64]| -> Vec<(u64, u64)> {
@@ -1702,10 +1762,10 @@ mod dedup {
     use qdevice::presets;
     use rand::Rng;
 
-    const CASES: u64 = if cfg!(miri) { 1 } else { 6 };
+    pub(super) const CASES: u64 = if cfg!(miri) { 1 } else { 6 };
 
     /// Shot counts around the window size, plus one run of several windows.
-    const SHOTS: &[u64] = if cfg!(miri) {
+    pub(super) const SHOTS: &[u64] = if cfg!(miri) {
         &[0, 1, 2, 33]
     } else {
         &[0, 1, 2, 1023, 1024, 1025, 5000]
@@ -1725,7 +1785,7 @@ mod dedup {
                 sample_cumulative(&plan.clean_cum, &mut rng)
             } else {
                 work.replayed_shots += 1;
-                work.skipped_ops += plan.run_trajectory_into(&fired, &mut amps) as u64;
+                work.skipped_ops += plan.run_trajectory_into(&fired, &mut amps).0 as u64;
                 sample_kernel(&amps, &mut rng)
             };
             let mut key = 0u64;
@@ -1783,20 +1843,29 @@ mod dedup {
         sets
     }
 
+    /// Random case `case` compiled under every option set.
+    pub(super) fn random_plans(case: u64) -> Vec<CompiledCircuit> {
+        let mut rng = ChaCha8Rng::seed_from_u64(case);
+        let qubits = rng.gen_range(1..=4);
+        let gates = rng.gen_range(0..32);
+        let circuit = random_circuit(&mut rng, qubits, gates);
+        let d = device(qubits.max(2));
+        option_sets()
+            .into_iter()
+            .map(|options| {
+                NoisySimulator::from_device(&d)
+                    .with_options(options)
+                    .compile(&circuit)
+                    .unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn random_plans_match_the_per_shot_loop() {
         let (mut shared, mut without_sites) = (false, false);
         for case in 0..CASES {
-            let mut rng = ChaCha8Rng::seed_from_u64(case);
-            let qubits = rng.gen_range(1..=4);
-            let gates = rng.gen_range(0..32);
-            let circuit = random_circuit(&mut rng, qubits, gates);
-            let d = device(qubits.max(2));
-            for options in option_sets() {
-                let plan = NoisySimulator::from_device(&d)
-                    .with_options(options)
-                    .compile(&circuit)
-                    .unwrap();
+            for plan in random_plans(case) {
                 without_sites |= plan.num_event_sites() == 0;
                 shared |= assert_matches_per_shot(&plan, 100 + case);
             }
@@ -1947,5 +2016,163 @@ mod dedup {
                 assert_eq!(digest(&counts), parallel, "{threads} thread(s)");
             }
         }
+    }
+}
+
+/// Every SIMD tier the host supports against the portable body, bit for
+/// bit: each kernel on random states, and whole `run_into` calls. Under
+/// Miri only the portable tier exists, so the module checks the dispatch
+/// path itself on tiny inputs.
+#[cfg(test)]
+mod tiers {
+    use super::checkpoint::{compile, random_circuit};
+    use super::dedup::{random_plans, CASES, SHOTS};
+    use super::*;
+    use rand::Rng;
+
+    /// The tiers this host can run, portable first.
+    fn supported() -> Vec<Tier> {
+        Tier::ALL.into_iter().filter(|t| t.is_supported()).collect()
+    }
+
+    #[test]
+    fn portable_is_always_supported_and_detection_picks_the_widest() {
+        let tiers = supported();
+        assert_eq!(tiers[0], Tier::Portable);
+        assert_eq!(Tier::detected(), *tiers.last().unwrap());
+        if cfg!(miri) {
+            assert_eq!(tiers, [Tier::Portable]);
+        }
+    }
+
+    /// One kernel call, dispatched like the shot loop's.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Prim(fuse::PrimOp),
+        Pauli(FiredPauli),
+    }
+
+    struct Apply<'a> {
+        amps: &'a mut [C64],
+        op: Op,
+    }
+
+    impl Tiered for Apply<'_> {
+        type Output = ();
+
+        #[inline(always)]
+        fn run(self) {
+            match self.op {
+                Op::Prim(op) => apply_prim(self.amps, &op),
+                Op::Pauli(fp) => apply_pauli(self.amps, fp),
+            }
+        }
+    }
+
+    fn random_c64(rng: &mut ChaCha8Rng) -> C64 {
+        C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+    }
+
+    /// Every kernel on every qubit bit (bit 0 included) and every CX
+    /// orientation, for each state width.
+    fn ops(rng: &mut ChaCha8Rng, qubits: u32) -> Vec<Op> {
+        let mut ops = Vec::new();
+        for q in 0..qubits {
+            let m = [[0; 2]; 2].map(|row| row.map(|_| random_c64(rng)));
+            let qubit = Qubit::new(q);
+            ops.push(Op::Prim(fuse::PrimOp::Unary { qubit, m }));
+            for pauli in PAULIS {
+                ops.push(Op::Pauli(FiredPauli {
+                    step: 0,
+                    bit: 1 << q,
+                    pauli,
+                }));
+            }
+            for t in (0..qubits).filter(|&t| t != q) {
+                ops.push(Op::Prim(fuse::PrimOp::Cx {
+                    control: qubit,
+                    target: Qubit::new(t),
+                }));
+            }
+        }
+        ops
+    }
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn every_kernel_matches_the_portable_body_bit_for_bit() {
+        let max_qubits = if cfg!(miri) { 3 } else { 8 };
+        let mut rng = ChaCha8Rng::seed_from_u64(20);
+        for qubits in 1..=max_qubits {
+            let state: Vec<C64> = (0..1usize << qubits)
+                .map(|_| random_c64(&mut rng))
+                .collect();
+            for op in ops(&mut rng, qubits) {
+                let mut want = state.clone();
+                tier::dispatch(
+                    Tier::Portable,
+                    Apply {
+                        amps: &mut want,
+                        op,
+                    },
+                );
+                for tier in supported() {
+                    let mut got = state.clone();
+                    tier::dispatch(tier, Apply { amps: &mut got, op });
+                    assert_eq!(bits(&got), bits(&want), "{tier:?} {qubits}q {op:?}");
+                }
+            }
+        }
+    }
+
+    /// `plan.run_into` compiled for `tier`.
+    fn run_at(
+        tier: Tier,
+        plan: &CompiledCircuit,
+        shots: u64,
+        seed: u64,
+        scratch: &mut SimScratch,
+    ) -> (Counts, ShotWork) {
+        let mut counts = Counts::new(plan.num_clbits());
+        let job = RunInto {
+            plan,
+            shots,
+            seed,
+            scratch,
+            counts: &mut counts,
+        };
+        let work = tier::dispatch(tier, job);
+        (counts, work)
+    }
+
+    #[test]
+    fn run_into_matches_the_portable_body_bit_for_bit() {
+        // The `noise::dedup` plans, plus wider states whose runs of
+        // amplitudes fill whole vector registers.
+        let wide_qubits: &[u32] = if cfg!(miri) { &[] } else { &[6, 8] };
+        let wide = wide_qubits.iter().map(|&qubits| {
+            let mut rng = ChaCha8Rng::seed_from_u64(qubits.into());
+            compile(&random_circuit(&mut rng, qubits, 60))
+        });
+        let plans = (0..CASES).flat_map(random_plans).chain(wide);
+        let mut scratch = SimScratch::new();
+        let mut kernel_ops = 0;
+        for (case, plan) in plans.enumerate() {
+            for &shots in SHOTS {
+                let seed = 300 + case as u64;
+                let want = run_at(Tier::Portable, &plan, shots, seed, &mut scratch);
+                kernel_ops += want.1.kernel_ops;
+                for tier in supported() {
+                    let got = run_at(tier, &plan, shots, seed, &mut scratch);
+                    assert_eq!(got, want, "{tier:?}, plan {case}, {shots} shots");
+                }
+            }
+        }
+        assert!(kernel_ops > 0, "no trajectory ran a kernel");
     }
 }

@@ -20,6 +20,7 @@
 //! a worker's buffers, slice execution allocates only its output `Counts`.
 
 use crate::pool::WorkerPool;
+use crate::tier::Tier;
 use crate::{rngstream, CompiledCircuit, Counts, NoisySimulator, SimError, SimScratch};
 pub use edm_telemetry::trace::TraceContext;
 
@@ -187,6 +188,17 @@ impl NoisySimulator<'_> {
             "edm_qsim_distinct_trajectories_total",
             "Trajectories run: the distinct fired-event sets of each slice"
         );
+        let kernel_ops = edm_telemetry::counter!(
+            "edm_qsim_kernel_ops_total",
+            "Amplitude-kernel calls made by trajectories: fused ops, replayed prims and Paulis"
+        );
+        // Set per batch, not once per process: a gauge write made while
+        // telemetry is off is dropped, and telemetry may come on later.
+        edm_telemetry::gauge!(
+            "edm_qsim_kernel_tier",
+            "SIMD tier the shot loop's kernels run at: 0 portable, 1 AVX2, 2 AVX-512F"
+        )
+        .set(Tier::detected() as i64);
 
         // Compile each job exactly once; every slice shares the plan. A
         // job that fails validation is reported per slice below, matching
@@ -219,6 +231,7 @@ impl NoisySimulator<'_> {
                     replayed.add(work.replayed_shots);
                     skipped.add(work.skipped_ops);
                     distinct.add(work.distinct_trajectories);
+                    kernel_ops.add(work.kernel_ops);
                     Ok(counts)
                 });
                 if let Some(started) = started {

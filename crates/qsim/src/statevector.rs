@@ -210,6 +210,10 @@ impl StateVector {
 // into two equal contiguous halves (`bit` clear / `bit` set); iterating the
 // halves with `zip` proves equal lengths to the compiler, so the inner
 // stride carries no bounds checks.
+//
+// The kernels are `#[inline(always)]` so that the shot loop, dispatched
+// once per SIMD tier (`crate::tier`), carries a copy of each compiled at
+// that tier's vector width.
 // ---------------------------------------------------------------------------
 
 /// Resets `amps` to the `|0…0>` state over `num_qubits` qubits, reusing the
@@ -225,6 +229,7 @@ pub(crate) fn reset_zero(amps: &mut Vec<C64>, num_qubits: u32) {
 ///
 /// Identical arithmetic, pair order, and rounding as the historical
 /// naive loop — only the iteration structure changed.
+#[inline(always)]
 pub(crate) fn apply_1q_kernel(amps: &mut [C64], bit: usize, m: &Mat2) {
     debug_assert!(bit < amps.len() && amps.len().is_multiple_of(bit << 1));
     let [[m00, m01], [m10, m11]] = *m;
@@ -243,6 +248,7 @@ pub(crate) fn apply_1q_kernel(amps: &mut [C64], bit: usize, m: &Mat2) {
 
 /// Swaps the target pair of every basis state with the control bit set:
 /// the CX permutation, exact (no floating-point arithmetic).
+#[inline(always)]
 pub(crate) fn apply_cx_kernel(amps: &mut [C64], cbit: usize, tbit: usize) {
     debug_assert!(cbit != tbit && cbit < amps.len() && tbit < amps.len());
     if cbit < tbit {
@@ -283,6 +289,7 @@ pub(crate) fn apply_cx_kernel(amps: &mut [C64], cbit: usize, tbit: usize) {
 }
 
 /// Pauli-X on the qubit with index mask `bit`: exact amplitude swap.
+#[inline(always)]
 pub(crate) fn apply_x_kernel(amps: &mut [C64], bit: usize) {
     let block = bit << 1;
     let mut base = 0;
@@ -297,6 +304,7 @@ pub(crate) fn apply_x_kernel(amps: &mut [C64], bit: usize) {
 
 /// Pauli-Y on the qubit with index mask `bit`: exact component shuffle
 /// (`(a0, a1) → (-i·a1, i·a0)`), no rounding.
+#[inline(always)]
 pub(crate) fn apply_y_kernel(amps: &mut [C64], bit: usize) {
     let block = bit << 1;
     let mut base = 0;
@@ -313,6 +321,7 @@ pub(crate) fn apply_y_kernel(amps: &mut [C64], bit: usize) {
 
 /// Pauli-Z on the qubit with index mask `bit`: exact sign flip of the
 /// bit-set half of every block.
+#[inline(always)]
 pub(crate) fn apply_z_kernel(amps: &mut [C64], bit: usize) {
     let block = bit << 1;
     let mut base = 0;

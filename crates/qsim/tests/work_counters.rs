@@ -1,7 +1,7 @@
 //! The shot loop's exact work counters (`edm_qsim_replayed_shots_total`,
 //! `edm_qsim_resumed_ops_skipped_total`,
-//! `edm_qsim_distinct_trajectories_total`) must not depend on the thread
-//! count. The counters are process-wide, so this binary holds exactly one
+//! `edm_qsim_distinct_trajectories_total`, `edm_qsim_kernel_ops_total`)
+//! must not depend on the thread count. The counters are process-wide, so this binary holds exactly one
 //! test: no concurrently running test can move them.
 
 use edm_telemetry::metrics::registry;
@@ -13,19 +13,20 @@ fn counter(name: &'static str) -> u64 {
     registry().counter(name, "").get()
 }
 
-const COUNTERS: [&str; 3] = [
+const COUNTERS: [&str; 4] = [
     "edm_qsim_replayed_shots_total",
     "edm_qsim_resumed_ops_skipped_total",
     "edm_qsim_distinct_trajectories_total",
+    "edm_qsim_kernel_ops_total",
 ];
 
-/// (replayed shots, skipped ops, distinct trajectories) added by one
-/// parallel run.
-fn work_of(sim: &NoisySimulator<'_>, c: &Circuit, shots: u64, threads: usize) -> [u64; 3] {
+/// (replayed shots, skipped ops, distinct trajectories, kernel ops) added
+/// by one parallel run.
+fn work_of(sim: &NoisySimulator<'_>, c: &Circuit, shots: u64, threads: usize) -> [u64; 4] {
     let before = COUNTERS.map(counter);
     sim.run_parallel(c, shots, 11, threads).unwrap();
     let after = COUNTERS.map(counter);
-    [0, 1, 2].map(|i| after[i] - before[i])
+    [0, 1, 2, 3].map(|i| after[i] - before[i])
 }
 
 #[test]
@@ -43,11 +44,13 @@ fn work_counters_are_identical_across_thread_counts() {
     let one = work_of(&sim, &c, shots, 1);
     let four = work_of(&sim, &c, shots, 4);
     assert_eq!(one, four);
-    let [replayed, skipped, distinct] = one;
+    let [replayed, skipped, distinct, kernel_ops] = one;
     assert!(replayed > 0 && replayed <= shots, "replayed {replayed}");
     assert!(skipped > 0, "no shot resumed from a checkpoint");
     assert!(
         distinct > 0 && distinct <= replayed,
         "{distinct} trajectories for {replayed} replayed shots"
     );
+    // Each trajectory applies at least one fired Pauli.
+    assert!(kernel_ops >= distinct, "{kernel_ops} kernel ops");
 }
