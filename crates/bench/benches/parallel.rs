@@ -21,8 +21,8 @@ fn bench_parallel_engine(c: &mut Criterion) {
     let bv = qbench::bv::bv(0b101, 3);
     let physical = transpiler.transpile(&bv).expect("transpiles").physical;
 
-    // Single circuit: the serial single-stream path vs the sliced pool
-    // path at increasing worker caps.
+    // Single circuit: `run` (a one-job batch on the calling thread) vs
+    // the same job over the pool at increasing worker caps.
     let mut group = c.benchmark_group("single_circuit_4096_shots");
     group.sample_size(10);
     group.bench_function("serial_run", |b| {
@@ -31,8 +31,8 @@ fn bench_parallel_engine(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("pooled_{threads}_threads"), |b| {
             b.iter(|| {
-                sim.run_parallel(black_box(&physical), 4096, 7, threads)
-                    .expect("runs")
+                let job = BatchJob::new(black_box(&physical), 4096, 7);
+                sim.execute_batch(&[job], threads)
             })
         });
     }

@@ -53,8 +53,10 @@ fn bench_simulator(c: &mut Criterion) {
     group.bench_function("trajectory_4096_parallel4", |b| {
         let sim = NoisySimulator::from_device(&device);
         b.iter(|| {
-            sim.run_parallel(black_box(&physical), 4096, 7, 4)
-                .expect("runs")
+            sim.run_batch(
+                &[qsim::parallel::BatchJob::new(black_box(&physical), 4096, 7)],
+                4,
+            )
         })
     });
     group.finish();

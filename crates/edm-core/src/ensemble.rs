@@ -1203,23 +1203,26 @@ mod tests {
     }
 
     impl Backend for FailNthBackend {
-        fn execute(
+        fn execute_batch(
             &self,
-            circuit: &Circuit,
-            shots: u64,
-            _seed: u64,
-        ) -> Result<Counts, qsim::SimError> {
-            let call = self.calls.get();
-            self.calls.set(call + 1);
-            if call == self.fail_at {
-                return Err(qsim::SimError::TooManyQubits {
-                    circuit: 99,
-                    device: 1,
-                });
-            }
-            let mut counts = Counts::new(circuit.num_clbits());
-            counts.record_n(0, shots);
-            Ok(counts)
+            jobs: &[BatchJob<'_>],
+            _threads: usize,
+        ) -> Vec<Result<Counts, qsim::SimError>> {
+            jobs.iter()
+                .map(|job| {
+                    let call = self.calls.get();
+                    self.calls.set(call + 1);
+                    if call == self.fail_at {
+                        return Err(qsim::SimError::TooManyQubits {
+                            circuit: 99,
+                            device: 1,
+                        });
+                    }
+                    let mut counts = Counts::new(job.circuit.num_clbits());
+                    counts.record_n(0, job.shots);
+                    Ok(counts)
+                })
+                .collect()
         }
     }
 

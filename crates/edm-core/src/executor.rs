@@ -1,81 +1,46 @@
 //! Execution backend abstraction.
 //!
-//! EDM is backend-agnostic: it needs only "run this physical circuit for N
-//! trials". [`Backend`] is implemented for the noisy simulator; a real
-//! cloud device could implement it as well.
+//! EDM is backend-agnostic: it needs only "run these physical circuits for
+//! N trials each". [`Backend`] is implemented for the noisy simulator; a
+//! real cloud device could implement it as well.
 //!
-//! The trait has two entry points: [`Backend::execute`] for one circuit,
-//! and [`Backend::execute_batch`] for a batch of independent jobs that the
-//! backend may fan out in parallel. The ensemble runner always goes
-//! through the batch path, so a backend with real parallelism (like the
-//! noisy simulator's worker-pool engine) accelerates every EDM mode
-//! without the ensemble layer knowing how. On the simulator backend each
-//! job's circuit is compiled once (gate fusion + noise lookup tables, see
+//! The trait has one method, [`Backend::execute_batch`]: a batch of
+//! independent jobs that the backend may fan out in parallel. One circuit
+//! is a one-job batch. So a backend with real parallelism (like the noisy
+//! simulator's worker-pool engine) accelerates every EDM mode without the
+//! ensemble layer knowing how. On the simulator backend each job's circuit
+//! is compiled once (gate fusion + noise lookup tables, see
 //! `qsim::CompiledCircuit`) and every shot slice executes against the
 //! shared plan with per-worker reusable buffers — the ensemble pays the
 //! per-mapping compile cost K times per batch, not K × slices times.
 
-use qcir::Circuit;
 use qsim::{Counts, NoisySimulator, SimError};
 
 pub use qsim::parallel::BatchJob;
 
 /// Something that can execute physical circuits for a number of shots.
 ///
-/// Object-safe: `&dyn Backend` works for both entry points.
+/// Object-safe: `&dyn Backend` works.
 pub trait Backend {
-    /// Runs `shots` trials of the physical `circuit`.
-    ///
-    /// Implementations should be deterministic for a fixed
-    /// `(circuit, shots, seed)` so experiments are reproducible.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the circuit cannot be executed (wrong
-    /// basis, uncoupled CX, invalid measurement structure).
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError>;
-
     /// Runs a batch of independent jobs, returning one result per job in
     /// job order. `threads` caps the parallelism a backend may use.
     ///
     /// Determinism contract: for a fixed job list the results must be
-    /// bit-identical for every `threads` value. An implementation may use
-    /// any per-job seed schedule (the simulator slices each job's budget
-    /// and forks per-slice seed streams), as long as the schedule depends
-    /// only on the jobs themselves — never on `threads` or scheduling.
+    /// bit-identical for every `threads` value, and a job's result must
+    /// not depend on the other jobs in its batch. An implementation may
+    /// use any per-job seed schedule (the simulator slices each job's
+    /// budget and forks per-slice seed streams), as long as the schedule
+    /// depends only on the job itself — never on `threads` or scheduling.
     ///
-    /// The default runs jobs serially through [`Backend::execute`], which
-    /// trivially satisfies the contract. A panic inside `execute` is
-    /// contained to its own job — it surfaces as the non-transient
-    /// [`SimError::ExecutionPanicked`] while the rest of the batch runs to
-    /// completion. (The simulator's pool-based override provides the same
-    /// containment per slice.)
-    fn execute_batch(
-        &self,
-        jobs: &[BatchJob<'_>],
-        threads: usize,
-    ) -> Vec<Result<Counts, SimError>> {
-        let _ = threads;
-        jobs.iter()
-            .map(|job| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.execute(job.circuit, job.shots, job.seed)
-                }))
-                .unwrap_or_else(|p| {
-                    Err(SimError::ExecutionPanicked {
-                        detail: qsim::pool::panic_message(p.as_ref()),
-                    })
-                })
-            })
-            .collect()
-    }
+    /// A failing job reports its own [`SimError`] (wrong basis, uncoupled
+    /// CX, invalid measurement structure, a transient backend fault, or
+    /// [`SimError::ExecutionPanicked`] for a contained panic) without
+    /// disturbing the rest of the batch.
+    fn execute_batch(&self, jobs: &[BatchJob<'_>], threads: usize)
+        -> Vec<Result<Counts, SimError>>;
 }
 
 impl Backend for NoisySimulator<'_> {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        self.run(circuit, shots, seed)
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
@@ -86,10 +51,6 @@ impl Backend for NoisySimulator<'_> {
 }
 
 impl<B: Backend + ?Sized> Backend for &B {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        (**self).execute(circuit, shots, seed)
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
@@ -102,6 +63,7 @@ impl<B: Backend + ?Sized> Backend for &B {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcir::Circuit;
     use qdevice::{presets, DeviceModel};
 
     #[test]
@@ -110,12 +72,14 @@ mod tests {
         let sim = NoisySimulator::from_device(&device);
         let mut c = Circuit::new(2, 2);
         c.h(0).cx(0, 1).measure_all();
-        let counts = Backend::execute(&sim, &c, 128, 0).unwrap();
+        let job = [BatchJob::new(&c, 128, 0)];
+        let counts = Backend::execute_batch(&sim, &job, 1)
+            .pop()
+            .unwrap()
+            .unwrap();
         assert_eq!(counts.shots(), 128);
-        // Reference-to-backend blanket impl.
-        let by_ref: &dyn Backend = &sim;
-        let counts2 = by_ref.execute(&c, 128, 0).unwrap();
-        assert_eq!(counts, counts2);
+        // One circuit is a one-job batch: the same histogram as `run`.
+        assert_eq!(counts, sim.run(&c, 128, 0).unwrap());
     }
 
     #[test]
@@ -129,12 +93,12 @@ mod tests {
         let eight = sim.execute_batch(&jobs, 8);
         assert_eq!(one[0].as_ref().unwrap(), eight[0].as_ref().unwrap());
         assert_eq!(one[1].as_ref().unwrap(), eight[1].as_ref().unwrap());
-        // The blanket &B impl forwards the batch override, not the serial
-        // default — &sim must agree with sim. Call through the trait with
-        // Self = &NoisySimulator so the blanket impl is actually exercised.
+        // The blanket &B impl forwards: &sim must agree with sim. Call
+        // through the trait with Self = &NoisySimulator so the blanket
+        // impl is actually exercised.
         let forwarded = Backend::execute_batch(&&sim, &jobs, 8);
         assert_eq!(one[0].as_ref().unwrap(), forwarded[0].as_ref().unwrap());
-        // And the trait stays object-safe for the batch path.
+        // And the trait stays object-safe.
         let dyn_backend: &dyn Backend = &sim;
         let via_dyn = dyn_backend.execute_batch(&jobs, 2);
         assert_eq!(one[1].as_ref().unwrap(), via_dyn[1].as_ref().unwrap());
@@ -173,48 +137,7 @@ mod tests {
             slice += 1;
         }
         assert_eq!(via_backend[0].as_ref().unwrap(), &expected);
-    }
-
-    /// A backend that panics on jobs whose seed matches `panic_seed`.
-    struct PanickyBackend {
-        panic_seed: u64,
-    }
-
-    impl Backend for PanickyBackend {
-        fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-            if seed == self.panic_seed {
-                panic!("backend bug on seed {seed}");
-            }
-            let mut counts = Counts::new(circuit.num_clbits());
-            counts.record_n(0, shots);
-            Ok(counts)
-        }
-    }
-
-    #[test]
-    fn panicking_backend_fails_only_its_job() {
-        let backend = PanickyBackend { panic_seed: 8 };
-        let mut c = Circuit::new(1, 1);
-        c.measure_all();
-        let jobs = [
-            BatchJob::new(&c, 10, 7),
-            BatchJob::new(&c, 10, 8),
-            BatchJob::new(&c, 10, 9),
-        ];
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // keep test output quiet
-        let results = backend.execute_batch(&jobs, 2);
-        std::panic::set_hook(prev);
-        assert_eq!(results[0].as_ref().unwrap().shots(), 10);
-        match &results[1] {
-            Err(e @ SimError::ExecutionPanicked { detail }) => {
-                assert!(detail.contains("backend bug on seed 8"), "{detail}");
-                assert!(!e.is_transient(), "a panic must not be retried");
-            }
-            other => panic!("expected ExecutionPanicked, got {other:?}"),
-        }
-        assert_eq!(results[2].as_ref().unwrap().shots(), 10);
-        // The backend (and process) remain usable afterwards.
-        assert_eq!(backend.execute(&c, 5, 1).unwrap().shots(), 5);
+        // `run` is the same one-job batch.
+        assert_eq!(sim.run(&c, shots, seed).unwrap(), expected);
     }
 }

@@ -5,12 +5,11 @@
 //! long-lived fleet self-referential: the fleet would own the device and a
 //! simulator borrowing it. [`DeviceBackend`] breaks the cycle by owning the
 //! [`DeviceModel`] behind an `Arc` and constructing the (two-reference,
-//! trivially cheap) simulator inside each call. Delegating both entry
-//! points to the simulator keeps the pool-based batch override — and with
-//! it the bit-identical-for-any-thread-count contract — intact.
+//! trivially cheap) simulator inside each call. Delegating to the
+//! simulator's pool-based batch engine keeps the
+//! bit-identical-for-any-thread-count contract intact.
 
 use edm_core::{Backend, BatchJob};
-use qcir::Circuit;
 use qdevice::DeviceModel;
 use qsim::counts::Counts;
 use qsim::{NoisySimulator, SimError};
@@ -35,10 +34,6 @@ impl DeviceBackend {
 }
 
 impl Backend for DeviceBackend {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        NoisySimulator::from_device(&self.device).run(circuit, shots, seed)
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
@@ -51,6 +46,7 @@ impl Backend for DeviceBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcir::Circuit;
     use qdevice::presets;
 
     fn bell() -> Circuit {
@@ -66,8 +62,8 @@ mod tests {
         let sim = NoisySimulator::from_device(&device);
         let c = bell();
         assert_eq!(
-            backend.execute(&c, 512, 9).unwrap(),
-            sim.run(&c, 512, 9).unwrap()
+            backend.execute_batch(&[BatchJob::new(&c, 512, 9)], 1)[0],
+            sim.run(&c, 512, 9)
         );
 
         let jobs = [BatchJob::new(&c, 256, 1), BatchJob::new(&c, 256, 2)];

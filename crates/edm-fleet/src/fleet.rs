@@ -965,6 +965,25 @@ mod tests {
     }
 
     #[test]
+    fn circuit_too_wide_to_simulate_fails_alone() {
+        // 40 qubits map onto eagle127, but a 2^40-amplitude state does not
+        // fit in memory: the job fails with the reason, and the device
+        // serves the job behind it.
+        let fleet = Fleet::synthesize(&[(presets::eagle127(), "eagle127")], 7, small_config());
+        let wide = fleet.submit(request(ghz(40), 64, 1)).unwrap();
+        let next = fleet.submit(request(ghz(3), 64, 2)).unwrap();
+        fleet.process_all();
+        match fleet.poll(wide.id) {
+            Some(JobState::Failed(reason)) => {
+                assert!(reason.contains("40 qubits"), "{reason}");
+                assert!(reason.contains("at most 26"), "{reason}");
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        assert!(matches!(fleet.poll(next.id), Some(JobState::Done(_))));
+    }
+
+    #[test]
     fn live_ist_matches_esp_routing_during_warmup() {
         let esp_fleet = three_device_fleet();
         let live_fleet = live_ist_fleet();

@@ -11,7 +11,6 @@
 
 use crate::clock::{Clock, SystemClock};
 use edm_core::{Backend, BatchJob};
-use qcir::Circuit;
 use qsim::{Counts, SimError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,15 +110,15 @@ impl<B: Backend> Dispatcher<B> {
         self.timeouts.load(Ordering::SeqCst)
     }
 
-    /// Retries a transiently failed job until success, a deterministic
-    /// error, retry exhaustion, or the deadline. `attempt` must repeat the
-    /// exact original execution (same entry point, same inputs) so a late
-    /// success is bit-identical to a first-try success.
+    /// Retries a transiently failed job, each attempt a one-job batch,
+    /// until success, a deterministic error, retry exhaustion, or the
+    /// deadline. A job's result does not depend on its batch mates, so a
+    /// late success is bit-identical to a first-try success.
     fn retry(
         &self,
         deadline_ms: u64,
         mut last: SimError,
-        attempt: impl Fn() -> Result<Counts, SimError>,
+        job: &BatchJob<'_>,
     ) -> Result<Counts, SimError> {
         for k in 1..=self.policy.max_retries {
             let backoff = self.policy.backoff_ms(k);
@@ -141,7 +140,12 @@ impl<B: Backend> Dispatcher<B> {
                 "Retry attempts performed by the dispatcher"
             )
             .inc();
-            match attempt() {
+            let attempt = self
+                .inner
+                .execute_batch(std::slice::from_ref(job), 1)
+                .pop()
+                .expect("one job in, one result out");
+            match attempt {
                 Ok(counts) => return Ok(counts),
                 Err(e) if !e.is_transient() => return Err(e),
                 Err(e) => last = e,
@@ -158,30 +162,14 @@ impl<B: Backend> Dispatcher<B> {
 }
 
 impl<B: Backend> Backend for Dispatcher<B> {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        let deadline = self
-            .clock
-            .now_ms()
-            .saturating_add(self.policy.job_timeout_ms);
-        match self.inner.execute(circuit, shots, seed) {
-            Ok(counts) => Ok(counts),
-            Err(e) if !e.is_transient() => Err(e),
-            Err(e) => self.retry(deadline, e, || self.inner.execute(circuit, shots, seed)),
-        }
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
         threads: usize,
     ) -> Vec<Result<Counts, SimError>> {
         // One parallel pass through the inner backend, then serial retries
-        // for the (rare) transient stragglers. A straggler is re-run as a
-        // one-job batch: a backend's batch seed schedule may legitimately
-        // differ from its single-circuit schedule (the simulator's does),
-        // and per-job batch results must not depend on batch composition,
-        // so this reproduces the original execution exactly. The timeout
-        // window is measured from batch dispatch.
+        // for the (rare) transient stragglers. The timeout window is
+        // measured from batch dispatch.
         let deadline = self
             .clock
             .now_ms()
@@ -190,12 +178,7 @@ impl<B: Backend> Backend for Dispatcher<B> {
         for (job, slot) in jobs.iter().zip(out.iter_mut()) {
             if let Err(e) = slot {
                 if e.is_transient() {
-                    *slot = self.retry(deadline, e.clone(), || {
-                        self.inner
-                            .execute_batch(std::slice::from_ref(job), 1)
-                            .pop()
-                            .expect("one job in, one result out")
-                    });
+                    *slot = self.retry(deadline, e.clone(), job);
                 }
             }
         }
@@ -253,15 +236,6 @@ impl<B: Backend> FlakyBackend<B> {
 }
 
 impl<B: Backend> Backend for FlakyBackend<B> {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        if self.inject(seed) {
-            return Err(SimError::BackendUnavailable {
-                reason: "injected fault",
-            });
-        }
-        self.inner.execute(circuit, shots, seed)
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
@@ -501,15 +475,6 @@ impl<B: Backend> CircuitBreaker<B> {
 }
 
 impl<B: Backend> Backend for CircuitBreaker<B> {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        if !self.admit() {
-            return Err(self.fail_fast());
-        }
-        let out = self.inner.execute(circuit, shots, seed);
-        self.observe(&out);
-        out
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
@@ -598,15 +563,6 @@ impl<B: Backend> ChaosBackend<B> {
 }
 
 impl<B: Backend> Backend for ChaosBackend<B> {
-    fn execute(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        if self.inject(seed) {
-            return Err(SimError::BackendUnavailable {
-                reason: "injected chaos",
-            });
-        }
-        self.inner.execute(circuit, shots, seed)
-    }
-
     fn execute_batch(
         &self,
         jobs: &[BatchJob<'_>],
@@ -622,15 +578,20 @@ impl<B: Backend> Backend for ChaosBackend<B> {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use qcir::Circuit;
 
     /// Succeeds every job with a fixed all-zeros histogram.
     struct OkBackend;
 
     impl Backend for OkBackend {
-        fn execute(&self, circuit: &Circuit, shots: u64, _seed: u64) -> Result<Counts, SimError> {
-            let mut counts = Counts::new(circuit.num_clbits());
-            counts.record_n(0, shots);
-            Ok(counts)
+        fn execute_batch(&self, jobs: &[BatchJob<'_>], _: usize) -> Vec<Result<Counts, SimError>> {
+            jobs.iter()
+                .map(|job| {
+                    let mut counts = Counts::new(job.circuit.num_clbits());
+                    counts.record_n(0, job.shots);
+                    Ok(counts)
+                })
+                .collect()
         }
     }
 
@@ -638,11 +599,39 @@ mod tests {
     struct DownBackend;
 
     impl Backend for DownBackend {
-        fn execute(&self, _: &Circuit, _: u64, _: u64) -> Result<Counts, SimError> {
-            Err(SimError::BackendUnavailable {
-                reason: "backend down",
-            })
+        fn execute_batch(&self, jobs: &[BatchJob<'_>], _: usize) -> Vec<Result<Counts, SimError>> {
+            jobs.iter()
+                .map(|_| {
+                    Err(SimError::BackendUnavailable {
+                        reason: "backend down",
+                    })
+                })
+                .collect()
         }
+    }
+
+    /// Fails every job with a deterministic circuit error.
+    struct BadCircuitBackend;
+
+    impl Backend for BadCircuitBackend {
+        fn execute_batch(&self, jobs: &[BatchJob<'_>], _: usize) -> Vec<Result<Counts, SimError>> {
+            jobs.iter()
+                .map(|_| Err(SimError::UnsupportedGate { name: "ccx" }))
+                .collect()
+        }
+    }
+
+    /// Runs one job through `backend` as a one-job batch.
+    fn run_one(
+        backend: &impl Backend,
+        circuit: &Circuit,
+        shots: u64,
+        seed: u64,
+    ) -> Result<Counts, SimError> {
+        backend
+            .execute_batch(&[BatchJob::new(circuit, shots, seed)], 1)
+            .pop()
+            .expect("one job in, one result out")
     }
 
     fn circuit() -> Circuit {
@@ -680,7 +669,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let flaky = FlakyBackend::new(OkBackend, 2);
         let d = Dispatcher::with_clock(flaky, policy(), clock.clone());
-        let counts = d.execute(&circuit(), 64, 7).unwrap();
+        let counts = run_one(&d, &circuit(), 64, 7).unwrap();
         assert_eq!(counts.shots(), 64);
         assert_eq!(d.retries(), 2);
         assert_eq!(d.exhausted(), 0);
@@ -693,7 +682,7 @@ mod tests {
     fn budget_exhaustion_surfaces_terminal_error() {
         let clock = Arc::new(ManualClock::new());
         let d = Dispatcher::with_clock(DownBackend, policy(), clock.clone());
-        let err = d.execute(&circuit(), 64, 7).unwrap_err();
+        let err = run_one(&d, &circuit(), 64, 7).unwrap_err();
         assert!(err.is_transient());
         assert!(err.to_string().contains("backend down"));
         assert_eq!(d.retries(), 3);
@@ -703,15 +692,9 @@ mod tests {
 
     #[test]
     fn deterministic_errors_pass_through_without_retry() {
-        struct BadCircuitBackend;
-        impl Backend for BadCircuitBackend {
-            fn execute(&self, _: &Circuit, _: u64, _: u64) -> Result<Counts, SimError> {
-                Err(SimError::UnsupportedGate { name: "ccx" })
-            }
-        }
         let clock = Arc::new(ManualClock::new());
         let d = Dispatcher::with_clock(BadCircuitBackend, policy(), clock.clone());
-        let err = d.execute(&circuit(), 64, 7).unwrap_err();
+        let err = run_one(&d, &circuit(), 64, 7).unwrap_err();
         assert_eq!(err, SimError::UnsupportedGate { name: "ccx" });
         assert_eq!(d.retries(), 0);
         assert!(clock.sleeps().is_empty());
@@ -727,7 +710,7 @@ mod tests {
             job_timeout_ms: 150,
         };
         let d = Dispatcher::with_clock(DownBackend, p, clock.clone());
-        let err = d.execute(&circuit(), 64, 7).unwrap_err();
+        let err = run_one(&d, &circuit(), 64, 7).unwrap_err();
         assert!(err.to_string().contains("timeout"));
         // First retry (100ms backoff) fits the 150ms budget; the second
         // (200ms) would overrun it and is never slept.
@@ -754,7 +737,7 @@ mod tests {
         assert_eq!(out[1].as_ref().unwrap().shots(), 64);
         assert_eq!(d.retries(), 2);
         // The retried result matches a clean backend bit for bit.
-        let clean = OkBackend.execute(&c, 32, 5).unwrap();
+        let clean = run_one(&OkBackend, &c, 32, 5).unwrap();
         assert_eq!(out[0].as_ref().unwrap(), &clean);
     }
 
@@ -766,7 +749,7 @@ mod tests {
             ..policy()
         };
         let d = Dispatcher::with_clock(DownBackend, p, clock.clone());
-        assert!(d.execute(&circuit(), 8, 1).is_err());
+        assert!(run_one(&d, &circuit(), 8, 1).is_err());
         assert_eq!(d.retries(), 0);
         assert_eq!(d.exhausted(), 1);
     }
@@ -784,12 +767,12 @@ mod tests {
         let b = CircuitBreaker::with_clock(DownBackend, breaker_config(), clock.clone());
         let c = circuit();
         for _ in 0..3 {
-            assert!(b.execute(&c, 8, 1).is_err());
+            assert!(run_one(&b, &c, 8, 1).is_err());
         }
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.stats().trips, 1);
         // While open, calls fail fast without touching the backend.
-        let err = b.execute(&c, 8, 1).unwrap_err();
+        let err = run_one(&b, &c, 8, 1).unwrap_err();
         assert!(err.is_transient());
         assert!(err.to_string().contains("circuit breaker open"));
         assert_eq!(b.stats().fast_failures, 1);
@@ -803,16 +786,16 @@ mod tests {
         let b = CircuitBreaker::with_clock(flaky, breaker_config(), clock.clone());
         let c = circuit();
         for _ in 0..3 {
-            assert!(b.execute(&c, 8, 1).is_err());
+            assert!(run_one(&b, &c, 8, 1).is_err());
         }
         assert_eq!(b.state(), BreakerState::Open);
         // Cooldown not elapsed: still failing fast.
         clock.advance_ms(50);
-        assert!(b.execute(&c, 8, 1).is_err());
+        assert!(run_one(&b, &c, 8, 1).is_err());
         assert_eq!(b.stats().fast_failures, 1);
         // Cooldown elapsed: the probe goes through and closes the breaker.
         clock.advance_ms(50);
-        assert!(b.execute(&c, 8, 1).is_ok());
+        assert!(run_one(&b, &c, 8, 1).is_ok());
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.stats().consecutive_failures, 0);
     }
@@ -823,32 +806,26 @@ mod tests {
         let b = CircuitBreaker::with_clock(DownBackend, breaker_config(), clock.clone());
         let c = circuit();
         for _ in 0..3 {
-            assert!(b.execute(&c, 8, 1).is_err());
+            assert!(run_one(&b, &c, 8, 1).is_err());
         }
         clock.advance_ms(100);
         // The probe reaches the (still dead) backend and re-opens.
-        assert!(b.execute(&c, 8, 1).is_err());
+        assert!(run_one(&b, &c, 8, 1).is_err());
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.stats().trips, 2);
         // The fresh cooldown starts at the probe, not the original trip.
         clock.advance_ms(50);
-        let err = b.execute(&c, 8, 1).unwrap_err();
+        let err = run_one(&b, &c, 8, 1).unwrap_err();
         assert!(err.to_string().contains("circuit breaker open"));
     }
 
     #[test]
     fn deterministic_errors_do_not_trip_the_breaker() {
-        struct BadCircuitBackend;
-        impl Backend for BadCircuitBackend {
-            fn execute(&self, _: &Circuit, _: u64, _: u64) -> Result<Counts, SimError> {
-                Err(SimError::UnsupportedGate { name: "ccx" })
-            }
-        }
         let clock = Arc::new(ManualClock::new());
         let b = CircuitBreaker::with_clock(BadCircuitBackend, breaker_config(), clock);
         let c = circuit();
         for _ in 0..10 {
-            assert!(b.execute(&c, 8, 1).is_err());
+            assert!(run_one(&b, &c, 8, 1).is_err());
         }
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.stats().trips, 0);
@@ -863,9 +840,9 @@ mod tests {
         let b = CircuitBreaker::with_clock(flaky, breaker_config(), clock);
         let c = circuit();
         for seed in 0..4 {
-            assert!(b.execute(&c, 8, seed).is_err());
-            assert!(b.execute(&c, 8, seed).is_err());
-            assert!(b.execute(&c, 8, seed).is_ok());
+            assert!(run_one(&b, &c, 8, seed).is_err());
+            assert!(run_one(&b, &c, 8, seed).is_err());
+            assert!(run_one(&b, &c, 8, seed).is_ok());
         }
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.stats().trips, 0);
@@ -880,7 +857,7 @@ mod tests {
         // Trip via a batch: 2 failures, then 1 more in the next batch.
         b.execute_batch(&jobs, 1);
         assert_eq!(b.stats().consecutive_failures, 2);
-        assert!(b.execute(&c, 8, 3).is_err());
+        assert!(run_one(&b, &c, 8, 3).is_err());
         assert_eq!(b.state(), BreakerState::Open);
         let out = b.execute_batch(&jobs, 1);
         assert_eq!(out.len(), 2);
@@ -897,8 +874,8 @@ mod tests {
         let c = circuit();
         let mut fails = 0;
         for seed in 0..200 {
-            let ra = a.execute(&c, 8, seed);
-            let rb = b.execute(&c, 8, seed);
+            let ra = run_one(&a, &c, 8, seed);
+            let rb = run_one(&b, &c, 8, seed);
             assert_eq!(
                 ra.is_err(),
                 rb.is_err(),
@@ -918,12 +895,12 @@ mod tests {
         let d = Dispatcher::with_clock(chaos, policy(), Arc::new(ManualClock::new()));
         let c = circuit();
         // The dead seed exhausts the dispatcher's whole retry budget.
-        let err = d.execute(&c, 8, 42).unwrap_err();
+        let err = run_one(&d, &c, 8, 42).unwrap_err();
         assert!(err.is_transient());
         assert_eq!(d.retries(), 3);
         assert_eq!(d.exhausted(), 1);
         // A live seed sails through (0% ambient chaos here).
-        assert!(d.execute(&c, 8, 43).is_ok());
+        assert!(run_one(&d, &c, 8, 43).is_ok());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! Because the channels are identical, the trajectory sampler converges to
 //! the density-matrix distribution as shots grow — which the test suite
-//! checks. Exact distributions are also what the shot-noise-free ablation
-//! experiments in `edm-bench` use.
+//! checks. That is this module's role: a reference for tests and one
+//! criterion benchmark. Every figure, ablation and extension in `edm-bench`
+//! samples shots through the trajectory simulator instead.
 //!
 //! Memory scales as `4^n` in the number of *active* qubits, so circuits are
 //! limited to 10 active qubits (16 M amplitudes); the paper's workloads use

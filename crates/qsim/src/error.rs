@@ -42,6 +42,12 @@ pub enum SimError {
         /// Qubits available on the device.
         device: u32,
     },
+    /// The circuit acts on more qubits than a state vector can hold
+    /// ([`MAX_QUBITS`](crate::MAX_QUBITS)).
+    TooWideToSimulate {
+        /// Qubits the circuit acts on.
+        qubits: u32,
+    },
     /// The execution backend was temporarily unable to run the job (queue
     /// contention, lost link, worker restart).
     ///
@@ -110,6 +116,13 @@ impl fmt::Display for SimError {
                     "circuit needs {circuit} qubits but the device has {device}"
                 )
             }
+            SimError::TooWideToSimulate { qubits } => {
+                write!(
+                    f,
+                    "circuit acts on {qubits} qubits but at most {} fit a state vector",
+                    crate::statevector::MAX_QUBITS
+                )
+            }
             SimError::BackendUnavailable { reason } => {
                 write!(
                     f,
@@ -149,6 +162,8 @@ mod tests {
         }
         .to_string()
         .contains("20"));
+        let wide = SimError::TooWideToSimulate { qubits: 40 }.to_string();
+        assert!(wide.contains("40") && wide.contains("26"), "{wide}");
     }
 
     #[test]
@@ -168,6 +183,7 @@ mod tests {
             SimError::MidCircuitMeasurement { qubit: 3 },
             SimError::ClbitReused { clbit: 1 },
             SimError::TooManyClbits { clbits: 64 },
+            SimError::TooWideToSimulate { qubits: 40 },
             SimError::UncoupledQubits { a: 0, b: 5 },
             SimError::TooManyQubits {
                 circuit: 20,

@@ -5,7 +5,7 @@
 
 use crate::counts::MAX_CLBITS;
 use crate::error::SimError;
-use crate::statevector::StateVector;
+use crate::statevector::{StateVector, MAX_QUBITS};
 use qcir::{Circuit, Clbit, Gate, Qubit};
 use std::collections::BTreeMap;
 
@@ -44,10 +44,16 @@ pub(crate) fn measurement_map(circuit: &Circuit) -> Result<Vec<(Qubit, Clbit)>, 
 ///
 /// # Errors
 ///
-/// Returns an error if the circuit has more than [`MAX_CLBITS`] classical
-/// bits, a measured qubit is used afterwards, or a classical bit is written
-/// twice (the same validity conditions as the samplers).
+/// Returns an error if the circuit has more than [`MAX_QUBITS`] qubits or
+/// [`MAX_CLBITS`] classical bits, a measured qubit is used afterwards, or a
+/// classical bit is written twice (the same validity conditions as the
+/// samplers).
 pub fn final_state(circuit: &Circuit) -> Result<StateVector, SimError> {
+    if circuit.num_qubits() > MAX_QUBITS {
+        return Err(SimError::TooWideToSimulate {
+            qubits: circuit.num_qubits(),
+        });
+    }
     measurement_map(circuit)?;
     let mut sv = StateVector::zero_state(circuit.num_qubits());
     for g in circuit.iter() {

@@ -65,4 +65,4 @@ pub use counts::Counts;
 pub use density::{DensityMatrix, DensitySimulator};
 pub use error::SimError;
 pub use noise::{CompiledCircuit, NoisySimulator, ShotWork, SimOptions, SimScratch};
-pub use statevector::StateVector;
+pub use statevector::{StateVector, MAX_QUBITS};

@@ -63,10 +63,10 @@ use crate::counts::Counts;
 use crate::error::SimError;
 use crate::fuse::{self, FusedOp, Prim};
 use crate::ideal;
-use crate::parallel::SLICE_SHOTS;
+use crate::parallel::{BatchJob, SLICE_SHOTS};
 use crate::statevector::{
     apply_1q_kernel, apply_cx_kernel, apply_x_kernel, apply_y_kernel, apply_z_kernel, reset_zero,
-    StateVector,
+    StateVector, MAX_QUBITS,
 };
 use crate::tier::{self, Tier, Tiered};
 use qcir::{Circuit, Gate, Qubit};
@@ -217,10 +217,13 @@ impl<'a> NoisySimulator<'a> {
     /// Runs `shots` noisy trials of `circuit` and returns the outcome
     /// histogram. Deterministic for a fixed `(circuit, shots, seed)`.
     ///
-    /// Equivalent to [`NoisySimulator::compile`] followed by one
-    /// [`CompiledCircuit::run_into`] with the same seed — callers that run
-    /// the same circuit repeatedly (slices, ensemble members, rounds)
-    /// should compile once and reuse the plan and a [`SimScratch`].
+    /// A one-job [`NoisySimulator::run_batch`] at one thread, run on the
+    /// calling thread: the budget is cut into [`SLICE_SHOTS`]-shot slices,
+    /// slice `s` seeded with `rngstream::fork(seed, s)`. So the histogram
+    /// is the one `run_batch` returns for the same job at every thread
+    /// count — the repository has one seed schedule (DESIGN.md §7). The
+    /// job inherits the caller's trace context, so its slices link into
+    /// the caller's trace.
     ///
     /// The circuit must already be *physical*: lowered to the
     /// `{single-qubit, CX, measure}` basis with every CX on a coupled pair
@@ -229,6 +232,8 @@ impl<'a> NoisySimulator<'a> {
     /// # Errors
     ///
     /// - [`SimError::TooManyQubits`] if the circuit is wider than the device.
+    /// - [`SimError::TooWideToSimulate`] if it acts on more qubits than a
+    ///   state vector can hold.
     /// - [`SimError::TooManyClbits`] if its classical register does not fit
     ///   a histogram key.
     /// - [`SimError::UnsupportedGate`] for gates outside the device basis.
@@ -236,10 +241,9 @@ impl<'a> NoisySimulator<'a> {
     /// - [`SimError::MidCircuitMeasurement`] / [`SimError::ClbitReused`] for
     ///   invalid measurement structure.
     pub fn run(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        let plan = self.compile(circuit)?;
-        let mut counts = Counts::new(plan.num_clbits());
-        plan.run_into(shots, seed, &mut SimScratch::new(), &mut counts);
-        Ok(counts)
+        let job =
+            BatchJob::new(circuit, shots, seed).traced(edm_telemetry::trace::current_context());
+        self.run_batch(&[job], 1).pop().expect("one result per job")
     }
 
     /// Validates and lowers a circuit into a reusable execution plan.
@@ -266,6 +270,11 @@ impl<'a> NoisySimulator<'a> {
         // Dense re-indexing of the active physical qubits keeps the state
         // vector as small as the program, not the device.
         let active: Vec<u32> = circuit.active_qubits().iter().map(|q| q.index()).collect();
+        if active.len() > MAX_QUBITS as usize {
+            return Err(SimError::TooWideToSimulate {
+                qubits: active.len() as u32,
+            });
+        }
         let mut dense = vec![u32::MAX; self.topology.num_qubits() as usize];
         for (i, &q) in active.iter().enumerate() {
             dense[q as usize] = i as u32;
@@ -552,10 +561,14 @@ impl CompiledCircuit {
     }
 
     /// Runs `shots` trials with the given seed, accumulating outcomes into
-    /// `counts`. Deterministic for a fixed `(plan, shots, seed)`;
-    /// histograms produced this way are exactly what
-    /// [`NoisySimulator::run`] returns for the same arguments. Returns the
-    /// call's exact trajectory work (equally deterministic).
+    /// `counts`. Deterministic for a fixed `(plan, shots, seed)`. Returns
+    /// the call's exact trajectory work (equally deterministic).
+    ///
+    /// One call is one slice of the batch schedule:
+    /// [`NoisySimulator::run_batch`] (and so [`NoisySimulator::run`]) runs
+    /// slice `s` of a job as `run_into(n, rngstream::fork(seed, s), ..)`.
+    /// For `shots <= SLICE_SHOTS`, `run_into(shots, fork(seed, 0), ..)`
+    /// therefore gives what `run(circuit, shots, seed)` returns.
     ///
     /// Shots run in windows of at most [`SLICE_SHOTS`], each in two passes.
     /// Pass 1 walks the window in stream order and draws what a shot
@@ -1153,29 +1166,27 @@ mod tests {
     }
 
     #[test]
-    fn run_equals_compile_plus_run_into() {
-        let d = device();
-        let sim = NoisySimulator::from_device(&d);
-        let direct = sim.run(&bell(), 1500, 11).unwrap();
-        let plan = sim.compile(&bell()).unwrap();
-        let mut scratch = SimScratch::new();
-        let mut counts = Counts::new(plan.num_clbits());
-        plan.run_into(1500, 11, &mut scratch, &mut counts);
-        assert_eq!(direct, counts);
-    }
-
-    #[test]
     fn compiled_plan_is_reusable_with_shared_scratch() {
         // One plan + one scratch across many seeds must match fresh
-        // runs bit-for-bit: nothing may leak between calls.
+        // runs bit-for-bit: nothing may leak between calls. A budget of
+        // at most one slice is one `run_into` on the slice-0 seed.
         let d = device();
         let sim = NoisySimulator::from_device(&d);
         let plan = sim.compile(&bell()).unwrap();
         let mut scratch = SimScratch::new();
-        for seed in [3u64, 17, 3, 99] {
+        for (shots, seed) in [(700u64, 3u64), (SLICE_SHOTS, 17), (700, 3), (1, 99)] {
             let mut counts = Counts::new(plan.num_clbits());
-            plan.run_into(700, seed, &mut scratch, &mut counts);
-            assert_eq!(counts, sim.run(&bell(), 700, seed).unwrap(), "seed {seed}");
+            plan.run_into(
+                shots,
+                crate::rngstream::fork(seed, 0),
+                &mut scratch,
+                &mut counts,
+            );
+            assert_eq!(
+                counts,
+                sim.run(&bell(), shots, seed).unwrap(),
+                "seed {seed}"
+            );
         }
     }
 
@@ -1283,6 +1294,25 @@ mod tests {
         let batch = sim.run_batch(&[crate::parallel::BatchJob::new(&c, 8, 0)], 1);
         assert_eq!(batch[0].as_ref().unwrap_err(), &want);
         assert_eq!(crate::ideal::probabilities(&c).unwrap_err(), want);
+    }
+
+    #[test]
+    fn circuit_wider_than_a_state_vector_is_rejected_before_allocating() {
+        let d = DeviceModel::synthesize(presets::falcon27(), 42);
+        let sim = NoisySimulator::from_device(&d);
+        let mut ghz = Circuit::new(27, 27);
+        ghz.h(0);
+        for q in 0..26 {
+            ghz.cx(q, q + 1);
+        }
+        ghz.measure_all();
+        let want = SimError::TooWideToSimulate { qubits: 27 };
+        // Validation precedes both the coupling check and the clean-state
+        // allocation, so the logical chain need not fit the topology.
+        assert_eq!(sim.compile(&ghz).unwrap_err(), want);
+        assert_eq!(sim.run(&ghz, 8, 0).unwrap_err(), want);
+        assert_eq!(crate::ideal::final_state(&ghz).unwrap_err(), want);
+        assert!(want.to_string().contains("27"), "{want}");
     }
 
     #[test]
@@ -1972,7 +2002,10 @@ mod dedup {
         let mut wide = Circuit::new(3, 14);
         wide.h(0).cx(0, 1).ry(2, 0.7).cx(1, 2).h(1);
         wide.measure(0, 0).measure(1, 7).measure(2, 13);
-        // (circuit, options, shots, seed, run digest, run_parallel digest)
+        // (circuit, options, shots, seed, one-`run_into` digest, batch
+        // digest). The fifth column is one `run_into(shots, seed)` over the
+        // whole budget; the sixth is the sliced schedule of `run` and
+        // `run_batch`.
         let cases = [
             (
                 &layered,
@@ -2008,12 +2041,17 @@ mod dedup {
             ),
         ];
         let d = DeviceModel::synthesize(presets::melbourne14(), 42);
-        for (circuit, options, shots, seed, run, parallel) in cases {
+        for (circuit, options, shots, seed, one_call, batch) in cases {
             let sim = NoisySimulator::from_device(&d).with_options(options);
-            assert_eq!(digest(&sim.run(circuit, shots, seed).unwrap()), run);
+            let plan = sim.compile(circuit).unwrap();
+            let mut counts = Counts::new(plan.num_clbits());
+            plan.run_into(shots, seed, &mut SimScratch::new(), &mut counts);
+            assert_eq!(digest(&counts), one_call);
+            assert_eq!(digest(&sim.run(circuit, shots, seed).unwrap()), batch);
             for threads in [1, 2] {
-                let counts = sim.run_parallel(circuit, shots, seed, threads).unwrap();
-                assert_eq!(digest(&counts), parallel, "{threads} thread(s)");
+                let job = BatchJob::new(circuit, shots, seed);
+                let counts = sim.run_batch(&[job], threads).pop().unwrap().unwrap();
+                assert_eq!(digest(&counts), batch, "{threads} thread(s)");
             }
         }
     }

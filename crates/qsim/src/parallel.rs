@@ -79,8 +79,8 @@ impl<'a> BatchJob<'a> {
 
 /// The shot budgets of each slice of a `shots`-shot job.
 ///
-/// A zero-shot job still gets one (empty) slice so that circuit validation
-/// runs and errors surface exactly as in [`NoisySimulator::run`].
+/// A zero-shot job still gets one (empty) slice, so it still reports its
+/// circuit's errors.
 fn slice_sizes(shots: u64) -> Vec<u64> {
     if shots == 0 {
         return vec![0];
@@ -201,8 +201,7 @@ impl NoisySimulator<'_> {
         .set(Tier::detected() as i64);
 
         // Compile each job exactly once; every slice shares the plan. A
-        // job that fails validation is reported per slice below, matching
-        // the error `NoisySimulator::run` would have returned.
+        // job that fails validation is reported per slice below.
         let compiled: Vec<Result<CompiledCircuit, SimError>> =
             jobs.iter().map(|job| self.compile(job.circuit)).collect();
 
@@ -265,60 +264,6 @@ impl NoisySimulator<'_> {
         }
         out
     }
-
-    /// Runs `shots` trials of one circuit across at most `threads` pool
-    /// workers.
-    ///
-    /// Equivalent to a single-job [`NoisySimulator::run_batch`]: the shot
-    /// budget is cut into [`SLICE_SHOTS`]-sized slices with seeds forked
-    /// from `seed`, so the histogram is bit-identical for every `threads`
-    /// value (including 1). Note this differs from the single-stream
-    /// [`NoisySimulator::run`] histogram for the same seed — the sliced
-    /// seed schedule is its own deterministic contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`NoisySimulator::run`]; the first failing
-    /// slice's error is returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use qcir::Circuit;
-    /// use qdevice::{presets, DeviceModel};
-    /// use qsim::NoisySimulator;
-    ///
-    /// let device = DeviceModel::synthesize(presets::melbourne14(), 3);
-    /// let sim = NoisySimulator::from_device(&device);
-    /// let mut c = Circuit::new(2, 2);
-    /// c.h(0);
-    /// c.cx(0, 1);
-    /// c.measure_all();
-    /// let counts = sim.run_parallel(&c, 4096, 7, 4)?;
-    /// assert_eq!(counts.shots(), 4096);
-    /// // Same shots + seed, different worker count: same histogram.
-    /// assert_eq!(counts, sim.run_parallel(&c, 4096, 7, 1)?);
-    /// # Ok::<(), qsim::SimError>(())
-    /// ```
-    pub fn run_parallel(
-        &self,
-        circuit: &Circuit,
-        shots: u64,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Counts, SimError> {
-        // Inherit the caller's trace context so slices of a directly-run
-        // circuit (e.g. `edm-cli run --profile`) still link up.
-        let job =
-            BatchJob::new(circuit, shots, seed).traced(edm_telemetry::trace::current_context());
-        self.run_batch(&[job], threads)
-            .pop()
-            .expect("one result per job")
-    }
 }
 
 #[cfg(test)]
@@ -341,24 +286,42 @@ mod tests {
         assert_eq!(slice_sizes(2500).iter().sum::<u64>(), 2500);
     }
 
+    /// One job through `run_batch` at `threads` workers.
+    fn one_job(
+        sim: &NoisySimulator<'_>,
+        c: &Circuit,
+        shots: u64,
+        seed: u64,
+        threads: usize,
+    ) -> Result<Counts, SimError> {
+        sim.run_batch(&[BatchJob::new(c, shots, seed)], threads)
+            .pop()
+            .expect("one result per job")
+    }
+
     #[test]
     fn parallel_run_has_exact_shot_count() {
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
         let sim = NoisySimulator::from_device(&d);
         // 2501 shots slice unevenly (1024 + 1024 + 453); nothing may be
         // lost or double-counted.
-        let counts = sim.run_parallel(&bell(), 2501, 1, 4).unwrap();
+        let counts = one_job(&sim, &bell(), 2501, 1, 4).unwrap();
         assert_eq!(counts.shots(), 2501);
     }
 
     #[test]
     fn results_are_bit_identical_across_worker_counts() {
+        // `run` is a one-job batch: it must equal that batch at every
+        // worker count, for budgets below, at and above a slice multiple.
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
         let sim = NoisySimulator::from_device(&d);
-        let reference = sim.run_parallel(&bell(), 5000, 9, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let counts = sim.run_parallel(&bell(), 5000, 9, threads).unwrap();
-            assert_eq!(counts, reference, "threads = {threads}");
+        for shots in [1000, 2047, 2048, 2049] {
+            let reference = sim.run(&bell(), shots, 9).unwrap();
+            assert_eq!(reference.shots(), shots);
+            for threads in [1, 2, 3, 8] {
+                let counts = one_job(&sim, &bell(), shots, 9, threads).unwrap();
+                assert_eq!(counts, reference, "shots = {shots}, threads = {threads}");
+            }
         }
     }
 
@@ -379,9 +342,9 @@ mod tests {
             c.h(0).t(0);
         }
         c.cx(0, 1).measure_all();
-        let reference = sim.run_parallel(&c, 5000, 21, 1).unwrap();
+        let reference = sim.run(&c, 5000, 21).unwrap();
         for threads in [2, 8] {
-            let counts = sim.run_parallel(&c, 5000, 21, threads).unwrap();
+            let counts = one_job(&sim, &c, 5000, 21, threads).unwrap();
             assert_eq!(counts, reference, "threads = {threads}");
         }
     }
@@ -390,20 +353,25 @@ mod tests {
     fn parallel_run_is_deterministic() {
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
         let sim = NoisySimulator::from_device(&d);
-        let a = sim.run_parallel(&bell(), 2000, 9, 4).unwrap();
-        let b = sim.run_parallel(&bell(), 2000, 9, 4).unwrap();
+        let a = one_job(&sim, &bell(), 2000, 9, 4).unwrap();
+        let b = one_job(&sim, &bell(), 2000, 9, 4).unwrap();
         assert_eq!(a, b);
         // Different seeds give different histograms.
-        let c = sim.run_parallel(&bell(), 2000, 10, 4).unwrap();
+        let c = one_job(&sim, &bell(), 2000, 10, 4).unwrap();
         assert_ne!(a, c);
     }
 
     #[test]
     fn parallel_statistics_match_serial() {
+        // The sliced schedule draws from the same distribution as one
+        // serial `run_into` stream over the whole budget; only which
+        // histogram a seed labels differs.
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
         let sim = NoisySimulator::from_device(&d);
-        let serial = sim.run(&bell(), 20_000, 3).unwrap();
-        let parallel = sim.run_parallel(&bell(), 20_000, 3, 8).unwrap();
+        let plan = sim.compile(&bell()).unwrap();
+        let mut serial = Counts::new(plan.num_clbits());
+        plan.run_into(20_000, 3, &mut SimScratch::new(), &mut serial);
+        let parallel = one_job(&sim, &bell(), 20_000, 3, 8).unwrap();
         for key in 0..4u64 {
             let a = serial.probability(key);
             let b = parallel.probability(key);
@@ -427,11 +395,11 @@ mod tests {
         // contract that lets the ensemble fan members out together.
         assert_eq!(
             batch[0].as_ref().unwrap(),
-            &sim.run_parallel(&bell, 1500, 11, 1).unwrap()
+            &sim.run(&bell, 1500, 11).unwrap()
         );
         assert_eq!(
             batch[1].as_ref().unwrap(),
-            &sim.run_parallel(&ghz, 2048, 12, 2).unwrap()
+            &one_job(&sim, &ghz, 2048, 12, 2).unwrap()
         );
     }
 
@@ -441,9 +409,10 @@ mod tests {
         let sim = NoisySimulator::from_device(&d);
         let mut bad = Circuit::new(3, 0);
         bad.ccx(0, 1, 2);
-        assert!(sim.run_parallel(&bad, 100, 0, 4).is_err());
+        assert!(one_job(&sim, &bad, 100, 0, 4).is_err());
         // Zero shots still validate.
-        assert!(sim.run_parallel(&bad, 0, 0, 4).is_err());
+        assert!(one_job(&sim, &bad, 0, 0, 4).is_err());
+        assert!(sim.run(&bad, 0, 0).is_err());
     }
 
     #[test]
@@ -464,6 +433,6 @@ mod tests {
     fn zero_threads_rejected() {
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
         let sim = NoisySimulator::from_device(&d);
-        let _ = sim.run_parallel(&bell(), 10, 0, 0);
+        let _ = one_job(&sim, &bell(), 10, 0, 0);
     }
 }

@@ -347,7 +347,7 @@ impl<R> SlotWriter<R> {
 ///
 /// `panic!("literal")` carries `&str`; `panic!("{x}")` carries `String`;
 /// anything else (custom payloads) gets a fixed placeholder.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

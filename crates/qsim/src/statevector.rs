@@ -15,6 +15,12 @@ use crate::fuse::{self, Mat2};
 use qcir::{Gate, Qubit};
 use rand::Rng;
 
+/// The widest state vector the simulators allocate: `2^26` amplitudes,
+/// 1 GiB of `C64`. Wider circuits are rejected with
+/// [`SimError::TooWideToSimulate`](crate::SimError::TooWideToSimulate)
+/// before anything is allocated.
+pub const MAX_QUBITS: u32 = 26;
+
 /// A normalized pure state over `n` qubits, stored as `2^n` amplitudes.
 ///
 /// # Examples
@@ -41,11 +47,11 @@ impl StateVector {
     ///
     /// # Panics
     ///
-    /// Panics if `num_qubits > 26` (the amplitude vector would not fit in
-    /// memory).
+    /// Panics if `num_qubits > MAX_QUBITS` (the amplitude vector would not
+    /// fit in memory).
     pub fn zero_state(num_qubits: u32) -> Self {
         assert!(
-            num_qubits <= 26,
+            num_qubits <= MAX_QUBITS,
             "state vector too large: {num_qubits} qubits"
         );
         let mut amps = vec![ZERO; 1usize << num_qubits];

@@ -7,6 +7,7 @@
 use edm_telemetry::metrics::registry;
 use qcir::Circuit;
 use qdevice::{presets, DeviceModel};
+use qsim::parallel::BatchJob;
 use qsim::NoisySimulator;
 
 fn counter(name: &'static str) -> u64 {
@@ -21,10 +22,11 @@ const COUNTERS: [&str; 4] = [
 ];
 
 /// (replayed shots, skipped ops, distinct trajectories, kernel ops) added
-/// by one parallel run.
+/// by one one-job batch.
 fn work_of(sim: &NoisySimulator<'_>, c: &Circuit, shots: u64, threads: usize) -> [u64; 4] {
     let before = COUNTERS.map(counter);
-    sim.run_parallel(c, shots, 11, threads).unwrap();
+    let job = BatchJob::new(c, shots, 11);
+    sim.run_batch(&[job], threads).pop().unwrap().unwrap();
     let after = COUNTERS.map(counter);
     [0, 1, 2, 3].map(|i| after[i] - before[i])
 }

@@ -141,3 +141,32 @@ fn register_wider_than_63_bits_is_a_data_error() {
     assert!(stderr.contains("64 classical bits"), "stderr was: {stderr}");
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn circuit_wider_than_a_state_vector_is_a_data_error() {
+    let mut c = qcir::Circuit::new(40, 40);
+    c.h(0);
+    for q in 1..40 {
+        c.cx(q - 1, q);
+    }
+    c.measure_all();
+    let path = std::env::temp_dir().join(format!(
+        "edm_cli_validation_wide_circuit_{}.qasm",
+        std::process::id()
+    ));
+    std::fs::write(&path, qcir::qasm::to_qasm(&c)).expect("write qasm fixture");
+    let out = run_cli(&[
+        "run",
+        path.to_str().unwrap(),
+        "--device",
+        "eagle127",
+        "--shots",
+        "64",
+        "--threads",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(65), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("40 qubits"), "stderr was: {stderr}");
+    let _ = std::fs::remove_file(&path);
+}
