@@ -28,10 +28,19 @@ fn bench_router(c: &mut Criterion) {
             });
         }
     }
-    let t = Transpiler::new(device.topology(), &cal);
-    let bv6 = registry::by_name("bv-6").expect("registered");
-    group.bench_function("rank_all_embeddings_bv6", |b| {
-        b.iter(|| t.ranked_layouts(black_box(&bv6.circuit), usize::MAX))
+    let bv6 = registry::by_name("bv-6")
+        .expect("registered")
+        .circuit
+        .decomposed();
+    group.bench_function("best_placement_bv6", |b| {
+        b.iter(|| {
+            placement::best_swap_free_placement_with(
+                black_box(&bv6),
+                device.topology(),
+                &cal,
+                MapperSelection::Auto,
+            )
+        })
     });
     group.finish();
 }

@@ -18,11 +18,18 @@ fn main() {
         ("esp", 7),
         ("esp_opt", 8),
     ]);
+    let (mut shorter, mut rose, mut held, mut fell) = (0, 0, 0, Vec::new());
     for bench in registry::all() {
         let raw = bench.circuit.decomposed();
         let opt = optimize::optimize(&raw);
         let esp_raw = t.transpile(&raw).expect("transpiles").esp;
         let esp_opt = t.transpile(&opt).expect("transpiles").esp;
+        shorter += usize::from(opt.len() < raw.len());
+        match esp_opt.total_cmp(&esp_raw) {
+            std::cmp::Ordering::Greater => rose += 1,
+            std::cmp::Ordering::Equal => held += 1,
+            std::cmp::Ordering::Less => fell.push(bench.name),
+        }
         table::row(&[
             (bench.name.to_string(), 9),
             (raw.len().to_string(), 6),
@@ -32,7 +39,15 @@ fn main() {
         ]);
     }
     println!("\nadjacent inverse pairs (e.g. the CX pairs between the adder's Toffoli");
-    println!("blocks) are removed: fewer gates means fewer error sites. ESP usually");
-    println!("improves; the adder shows the greedy placement heuristic is not monotone");
-    println!("in gate count when the interaction graph changes shape.");
+    println!("blocks) are removed: fewer gates means fewer error sites.");
+    let total = rose + held + fell.len();
+    println!("the optimizer shortened {shorter} of {total} workloads; ESP rose on {rose},");
+    println!("held on {held} and fell on {}.", fell.len());
+    if !fell.is_empty() {
+        println!(
+            "ESP fell on {}: placement is not monotone in gate count when the",
+            fell.join(", ")
+        );
+        println!("interaction graph changes shape.");
+    }
 }

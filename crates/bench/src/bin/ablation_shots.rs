@@ -21,6 +21,9 @@ fn main() {
         ("edm_uniform", 12),
         ("edm_espweighted", 16),
     ]);
+    // Rows won by uniform, won by ESP-weighted, and tied, compared at the
+    // printed precision so the verdict matches the table.
+    let (mut uniform_wins, mut weighted_wins, mut ties) = (0, 0, 0);
     for bench in registry::ist_suite() {
         let device = setup::paper_device(run.seed);
         let mut cells = vec![(bench.name.to_string(), 9)];
@@ -52,9 +55,27 @@ fn main() {
                 },
             ));
         }
+        let ist = |cell: usize| cells[cell].0.parse::<f64>().expect("printed IST");
+        match ist(2).total_cmp(&ist(3)) {
+            std::cmp::Ordering::Greater => uniform_wins += 1,
+            std::cmp::Ordering::Less => weighted_wins += 1,
+            std::cmp::Ordering::Equal => ties += 1,
+        }
         table::row(&cells);
     }
-    println!("\nuniform allocation keeps the wrong-answer attenuation factor at K for");
-    println!("every member; weighting by (drift-corrupted) ESP re-concentrates trials");
-    println!("and with them the correlated mistakes.");
+    println!("\nEDM IST: uniform allocation wins {uniform_wins} workloads, ESP-weighted");
+    println!("allocation wins {weighted_wins}, and {ties} tied.");
+    match (uniform_wins, weighted_wins) {
+        (_, 0) => {
+            println!("uniform allocation keeps the wrong-answer attenuation factor at K for");
+            println!("every member; weighting by (drift-corrupted) ESP re-concentrates trials");
+            println!("and with them the correlated mistakes.");
+        }
+        (0, _) => println!("weighting by ESP helps despite the drift-corrupted estimate."),
+        _ => {
+            println!("neither policy dominates: weighting by drift-corrupted ESP helps where");
+            println!("it finds the truly better members and hurts where it re-concentrates");
+            println!("trials, and with them the correlated mistakes.");
+        }
+    }
 }

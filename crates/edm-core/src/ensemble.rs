@@ -758,7 +758,7 @@ fn assemble_result_inner(
             }
         };
         let counts = if member.inverted_measurement {
-            uninvert_counts(&raw)
+            uninvert_counts(&raw, &member.physical)
         } else {
             raw
         };
@@ -899,14 +899,15 @@ fn allocate_shots(
     }
 }
 
-/// XOR-corrects a histogram recorded in the inverted measurement basis.
-/// Constant time per distinct outcome, not per shot.
-fn uninvert_counts(raw: &Counts) -> Counts {
-    let mask = if raw.num_clbits() >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << raw.num_clbits()) - 1
-    };
+/// XOR-corrects a histogram recorded in the inverted measurement basis:
+/// flips exactly the classical bits the inverted member `physical`
+/// measures into, so bits no measurement writes stay 0. Constant time per
+/// distinct outcome, not per shot.
+fn uninvert_counts(raw: &Counts, physical: &Circuit) -> Counts {
+    let mask = physical.iter().fold(0u64, |mask, g| match *g {
+        Gate::Measure(_, c) => mask | 1 << c.index(),
+        _ => mask,
+    });
     let mut out = Counts::new(raw.num_clbits());
     for (k, v) in raw.iter() {
         out.record_n(k ^ mask, v);
@@ -1367,6 +1368,34 @@ mod tests {
                 "member lost the answer: {}",
                 m.dist.probability(0b101)
             );
+        }
+    }
+
+    #[test]
+    fn inverted_members_leave_unmeasured_clbits_alone() {
+        // Measures c0 and c1 of a 3-bit register: the answer is 011, and
+        // c2 is never written, so no member may read it as 1.
+        let mut c = Circuit::new(2, 3);
+        c.x(0).x(1).measure(0, 0).measure(1, 1);
+        let inverted = invert_measured_qubits(&c);
+        let mut raw = Counts::new(3);
+        raw.record_n(qsim::ideal::outcome(&inverted).unwrap(), 7);
+        assert_eq!(uninvert_counts(&raw, &inverted).get(0b011), 7);
+
+        let (d, cal) = setup();
+        let t = Transpiler::new(d.topology(), &cal);
+        let backend = NoisySimulator::from_device(&d);
+        let config = EnsembleConfig {
+            invert_measurements: true,
+            ..EnsembleConfig::default()
+        };
+        let result = EdmRunner::new(&t, &backend, config)
+            .run(&c, 2048, 5)
+            .unwrap();
+        assert!(result.members.iter().any(|m| m.member.inverted_measurement));
+        for m in &result.members {
+            assert_eq!(m.counts.most_frequent(), Some(0b011), "{:?}", m.member);
+            assert_eq!(m.dist.probability(0b111), 0.0, "{:?}", m.member);
         }
     }
 

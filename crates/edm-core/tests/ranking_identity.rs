@@ -403,15 +403,11 @@ fn errors_match_the_oracle() {
         MapperSelection::Exhaustive,
         MapperSelection::Filtered(Default::default()),
     ] {
-        let got =
-            placement::rank_embeddings_with(&ghz, device.topology(), &holes, usize::MAX, selection)
-                .map(|r| r.layouts);
         let want = oracle_rank(&ghz, device.topology(), &holes, usize::MAX, selection);
         assert!(
             matches!(want, Err(MapError::UncalibratedEdge { .. })),
             "{want:?}"
         );
-        assert_eq!(got, want);
         let got =
             placement::best_swap_free_placement_with(&ghz, device.topology(), &holes, selection);
         assert_eq!(got.unwrap_err(), want.unwrap_err());
@@ -421,14 +417,12 @@ fn errors_match_the_oracle() {
     let cal = device.calibration();
     let mut swap = Circuit::new(3, 3);
     swap.cx(0, 1).swap(1, 2).measure_all();
-    let got = placement::rank_embeddings_with(
+    let got = placement::best_swap_free_placement_with(
         &swap,
         device.topology(),
         &cal,
-        50,
         MapperSelection::Exhaustive,
-    )
-    .map(|r| r.layouts);
+    );
     let want = oracle_rank(
         &swap,
         device.topology(),
@@ -437,7 +431,7 @@ fn errors_match_the_oracle() {
         MapperSelection::Exhaustive,
     );
     assert_eq!(want, Err(MapError::UnsupportedGate { name: "swap" }));
-    assert_eq!(got, want);
+    assert_eq!(got.unwrap_err(), want.unwrap_err());
     let t = Transpiler::new(device.topology(), &cal);
     let config = EnsembleConfig::default();
     let want =
@@ -448,15 +442,6 @@ fn errors_match_the_oracle() {
     // ...and is never reached when no embedding exists.
     let mut star = Circuit::new(5, 0);
     star.cx(0, 1).cx(0, 2).cx(0, 3).cx(0, 4).swap(1, 2);
-    let got = placement::rank_embeddings_with(
-        &star,
-        device.topology(),
-        &cal,
-        usize::MAX,
-        MapperSelection::Exhaustive,
-    )
-    .map(|r| r.layouts);
-    assert_eq!(got, Ok(Vec::new()));
     assert_eq!(
         placement::best_swap_free_placement_with(
             &star,

@@ -117,6 +117,40 @@ fn bad_requests_are_reported_not_fatal() {
 }
 
 #[test]
+fn non_finite_angle_is_refused_at_submit_and_the_server_keeps_serving() {
+    let submit = |qasm: String| Request::Submit {
+        qasm,
+        shots: 256,
+        seed: 3,
+        priority: Priority::Normal,
+        trace_id: 0,
+        parent_span: 0,
+    };
+    let nan = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\nrz(nan) q[0];\n\
+               cx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n";
+    let responses = run_session(&[
+        submit(nan.into()),
+        submit(ghz_qasm()),
+        Request::Poll { id: 1 },
+        Request::Shutdown,
+    ]);
+    assert_eq!(responses.len(), 4);
+    assert!(
+        matches!(&responses[0], Response::Rejected { reason }
+            if reason.contains("bad qasm") && reason.contains("not finite")),
+        "{:?}",
+        responses[0]
+    );
+    assert!(matches!(responses[1], Response::Accepted { id: 1, .. }));
+    assert!(
+        matches!(responses[2], Response::Finished { id: 1, .. }),
+        "{:?}",
+        responses[2]
+    );
+    assert_eq!(responses[3], Response::Bye);
+}
+
+#[test]
 fn bump_calibration_invalidates_served_cache() {
     let submit = Request::Submit {
         qasm: ghz_qasm(),

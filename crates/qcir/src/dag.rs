@@ -1,8 +1,8 @@
 //! Dependency DAG over a circuit's operations.
 //!
 //! The DAG connects operations that share a wire (qubit or classical bit) in
-//! program order. It is the structure the SWAP router walks: the *front
-//! layer* is the set of operations whose dependencies are all satisfied.
+//! program order. Its ASAP layers are the columns of the ASCII diagram
+//! ([`crate::draw`]).
 
 use crate::{Circuit, Gate};
 
@@ -116,13 +116,6 @@ impl<'a> DagCircuit<'a> {
         debug_assert_eq!(emitted, n, "DAG must be acyclic by construction");
         layers
     }
-
-    /// Indices of operations with no predecessors (the initial front layer).
-    pub fn front(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.predecessor_count[i] == 0)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +128,6 @@ mod tests {
         let dag = DagCircuit::new(&c);
         assert!(dag.is_empty());
         assert!(dag.layers().is_empty());
-        assert!(dag.front().is_empty());
     }
 
     #[test]
@@ -154,7 +146,7 @@ mod tests {
         c.h(0).h(1);
         let dag = DagCircuit::new(&c);
         assert_eq!(dag.layers(), vec![vec![0, 1]]);
-        assert_eq!(dag.front(), vec![0, 1]);
+        assert_eq!(dag.predecessor_count(1), 0);
     }
 
     #[test]

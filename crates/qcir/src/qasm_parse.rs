@@ -21,6 +21,15 @@ pub enum ParseQasmError {
         /// The offending statement text.
         statement: String,
     },
+    /// A gate angle is NaN or infinite (`rz(nan)`, `rx(inf)`, `rz(1e999)`):
+    /// it would turn the state into NaNs that sample as a confident but
+    /// meaningless answer.
+    NonFiniteAngle {
+        /// 1-based line number.
+        line: usize,
+        /// The offending statement text.
+        statement: String,
+    },
     /// An unknown gate mnemonic.
     UnknownGate {
         /// 1-based line number.
@@ -50,6 +59,9 @@ impl fmt::Display for ParseQasmError {
             ParseQasmError::MissingHeader => write!(f, "missing OPENQASM 2.0 header"),
             ParseQasmError::Malformed { line, statement } => {
                 write!(f, "line {line}: malformed statement '{statement}'")
+            }
+            ParseQasmError::NonFiniteAngle { line, statement } => {
+                write!(f, "line {line}: gate angle is not finite in '{statement}'")
             }
             ParseQasmError::UnknownGate { line, name } => {
                 write!(f, "line {line}: unknown gate '{name}'")
@@ -207,6 +219,12 @@ fn parse_statement(stmt: &str, line: usize) -> Result<Gate, ParseQasmError> {
         Some((n, p)) => {
             let p = p.strip_suffix(')').ok_or_else(malformed)?;
             let value: f64 = p.trim().parse().map_err(|_| malformed())?;
+            if !value.is_finite() {
+                return Err(ParseQasmError::NonFiniteAngle {
+                    line,
+                    statement: stmt.to_string(),
+                });
+            }
             (n, Some(value))
         }
         None => (head, None),
@@ -368,6 +386,23 @@ mod tests {
         let c = parse("OPENQASM 2.0;\nqreg q[1];\nrz(0.5) q[0];\nrx(-1.25) q[0];").unwrap();
         assert_eq!(c.ops()[0].param(), Some(0.5));
         assert_eq!(c.ops()[1].param(), Some(-1.25));
+    }
+
+    #[test]
+    fn non_finite_angles_are_rejected_with_a_reason() {
+        for angle in ["nan", "inf", "-inf", "1e999"] {
+            let text = format!("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];");
+            let err = parse(&text).unwrap_err();
+            assert_eq!(
+                err,
+                ParseQasmError::NonFiniteAngle {
+                    line: 4,
+                    statement: format!("rz({angle}) q[0]"),
+                },
+                "{angle}"
+            );
+            assert!(err.to_string().contains("not finite"), "{err}");
+        }
     }
 
     #[test]

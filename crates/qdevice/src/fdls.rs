@@ -33,16 +33,19 @@
 //! # Examples
 //!
 //! ```
-//! use qdevice::{fdls, presets};
+//! use qdevice::fdls::FdlsConfig;
+//! use qdevice::mapper::{self, MapperSelection};
+//! use qdevice::presets;
 //! // A 10-qubit path footprint on the 127-qubit Eagle lattice: exhaustive
 //! // enumeration would be enormous; FDLS returns a budgeted, diverse set.
 //! let pattern = presets::line(10);
 //! let target = presets::eagle127();
-//! let set = fdls::search(&pattern, &target, 64, &fdls::FdlsConfig::default());
+//! let filtered = MapperSelection::Filtered(FdlsConfig::default());
+//! let set = mapper::enumerate_embeddings(&pattern, &target, 64, filtered);
 //! assert!(set.embeddings.len() >= 5);
 //! ```
 
-use crate::mapper::{EmbeddingSet, SearchOutcome};
+use crate::mapper::SearchOutcome;
 use crate::vf2::{self, Adjacency};
 use crate::Topology;
 
@@ -86,33 +89,13 @@ impl FdlsConfig {
     }
 }
 
-/// Enumerates embeddings of `pattern` into `target` under `config`,
-/// returning at most `max_results` of them.
-///
-/// Semantics match [`crate::vf2::enumerate`]: injective, non-induced (every
-/// pattern edge maps to a target edge; extra target edges are fine),
-/// isolated pattern vertices land on any unused target qubit, and an empty
-/// pattern yields one empty embedding.
-pub fn search(
-    pattern: &Topology,
-    target: &Topology,
-    max_results: usize,
-    config: &FdlsConfig,
-) -> EmbeddingSet {
-    let mut embeddings = Vec::new();
-    let outcome = for_each(pattern, target, max_results, config, |phi| {
-        embeddings.push(phi.to_vec())
-    });
-    EmbeddingSet {
-        embeddings,
-        outcome,
-    }
-}
-
-/// The visitor form of [`search`]: hands each embedding to `visit` in
-/// search order instead of storing it, with the same cap semantics as
-/// [`crate::vf2::for_each`]. The latency histogram covers the search
-/// together with the visitor's own work.
+/// Hands each embedding of `pattern` into `target` under `config` to
+/// `visit`, in search order, with the same cap semantics as
+/// [`crate::vf2::for_each`]: injective, non-induced (every pattern edge
+/// maps to a target edge; extra target edges are fine), isolated pattern
+/// vertices land on any unused target qubit, and an empty pattern yields
+/// one empty embedding. The latency histogram covers the search together
+/// with the visitor's own work.
 pub fn for_each(
     pattern: &Topology,
     target: &Topology,
@@ -190,7 +173,7 @@ fn search_inner<F: FnMut(&[u32])>(
     }
 
     // Search one past the cap so an exactly-at-cap pool still reports
-    // Complete (matching vf2::enumerate's cap-hit detection).
+    // Complete (matching vf2::for_each's cap-hit detection).
     let order = vf2::matching_order(pattern);
     let (pattern_adj, target_adj) = (Adjacency::new(pattern), Adjacency::new(target));
     let mut s = Search {
@@ -387,7 +370,18 @@ impl<F: FnMut(&[u32])> Search<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{self, EmbeddingSet, MapperSelection};
     use crate::presets;
+
+    fn search(
+        pattern: &Topology,
+        target: &Topology,
+        max_results: usize,
+        config: &FdlsConfig,
+    ) -> EmbeddingSet {
+        let selection = MapperSelection::Filtered(*config);
+        mapper::enumerate_embeddings(pattern, target, max_results, selection)
+    }
 
     fn sorted(mut v: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
         v.sort();
@@ -420,7 +414,12 @@ mod tests {
         let targets = [presets::melbourne14(), presets::guadalupe16()];
         for pattern in &patterns {
             for target in &targets {
-                let a = vf2::enumerate(pattern, target, usize::MAX);
+                let a = mapper::enumerate_embeddings(
+                    pattern,
+                    target,
+                    usize::MAX,
+                    MapperSelection::Exhaustive,
+                );
                 let b = search(pattern, target, usize::MAX, &FdlsConfig::exhaustive());
                 assert!(a.is_complete() && b.is_complete());
                 assert_eq!(sorted(a.embeddings), sorted(b.embeddings));

@@ -82,17 +82,6 @@ impl MapperSelection {
         }
     }
 
-    /// Parses the CLI spelling: `auto`, `exhaustive`/`vf2`, or
-    /// `filtered`/`fdls`.
-    pub fn parse(name: &str) -> Option<MapperSelection> {
-        match name {
-            "auto" => Some(MapperSelection::Auto),
-            "exhaustive" | "vf2" => Some(MapperSelection::Exhaustive),
-            "filtered" | "fdls" => Some(MapperSelection::Filtered(FdlsConfig::default())),
-            _ => None,
-        }
-    }
-
     /// The short name of the engine this selection resolves to on `target`.
     pub fn describe(self, target: &Topology) -> &'static str {
         match self.resolve(target) {
@@ -108,9 +97,26 @@ impl MapperSelection {
 ///
 /// Both engines are deterministic (fixed matching order, candidates in
 /// ascending target-qubit id), so the same inputs always yield the same
-/// embedding sequence. This collects [`for_each_embedding`]; callers that
-/// only score or filter embeddings should visit them instead of storing
-/// them.
+/// embedding sequence. This collects [`for_each_embedding`] and is the one
+/// collecting form of the search; callers that only score or filter
+/// embeddings should visit them instead of storing them.
+///
+/// # Examples
+///
+/// ```
+/// use qdevice::mapper::{self, MapperSelection};
+/// use qdevice::presets;
+/// // Embed a 3-qubit path into a 4-qubit line: 0-1-2 fits 4 ways
+/// // (starting at 0 or 1, in either direction).
+/// let set = mapper::enumerate_embeddings(
+///     &presets::line(3),
+///     &presets::line(4),
+///     usize::MAX,
+///     MapperSelection::Exhaustive,
+/// );
+/// assert_eq!(set.embeddings.len(), 4);
+/// assert!(set.is_complete());
+/// ```
 pub fn enumerate_embeddings(
     pattern: &Topology,
     target: &Topology,
@@ -168,20 +174,6 @@ mod tests {
         ));
         assert_eq!(MapperSelection::Auto.describe(&small), "exhaustive");
         assert_eq!(MapperSelection::Auto.describe(&large), "filtered");
-    }
-
-    #[test]
-    fn parse_accepts_both_spellings() {
-        assert_eq!(MapperSelection::parse("auto"), Some(MapperSelection::Auto));
-        assert_eq!(
-            MapperSelection::parse("vf2"),
-            Some(MapperSelection::Exhaustive)
-        );
-        assert!(matches!(
-            MapperSelection::parse("fdls"),
-            Some(MapperSelection::Filtered(_))
-        ));
-        assert_eq!(MapperSelection::parse("magic"), None);
     }
 
     #[test]

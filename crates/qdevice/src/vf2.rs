@@ -12,65 +12,23 @@
 //! but extra target edges between mapped vertices are allowed — exactly what
 //! qubit mapping needs.
 
-use crate::mapper::{EmbeddingSet, SearchOutcome};
+use crate::mapper::SearchOutcome;
 use crate::Topology;
 
-/// Enumerates injective mappings `phi` from pattern vertices to target
+/// Hands each injective mapping `phi` from pattern vertices to target
 /// vertices such that every pattern edge `(a, b)` maps to a target edge
-/// `(phi[a], phi[b])`.
+/// `(phi[a], phi[b])` to `visit`, in enumeration order, indexed by pattern
+/// vertex. Isolated pattern vertices are matched to any unused target
+/// vertex.
 ///
-/// Results are returned as vectors indexed by pattern vertex. At most
-/// `max_results` embeddings are produced (pass `usize::MAX` for all of them).
-/// Isolated pattern vertices are matched to any unused target vertex.
-///
-/// This wrapper drops the [`SearchOutcome`]; callers that must know whether
-/// the cap truncated the pool (any ESP ranking does — a silently clipped
-/// pool biases the top-K) should use [`enumerate`] instead.
-///
-/// # Examples
-///
-/// ```
-/// use qdevice::{presets, vf2};
-/// // Embed a 3-qubit path into a 4-qubit line: 0-1-2 fits 4 ways
-/// // (starting at 0 or 1, in either direction).
-/// let pattern = presets::line(3);
-/// let target = presets::line(4);
-/// let found = vf2::enumerate_subgraph_isomorphisms(&pattern, &target, usize::MAX);
-/// assert_eq!(found.len(), 4);
-/// ```
-pub fn enumerate_subgraph_isomorphisms(
-    pattern: &Topology,
-    target: &Topology,
-    max_results: usize,
-) -> Vec<Vec<u32>> {
-    enumerate(pattern, target, max_results).embeddings
-}
-
-/// Like [`enumerate_subgraph_isomorphisms`], but reports whether the result
-/// cap cut the enumeration short.
-///
-/// The search runs one embedding past `max_results`, so a pool of exactly
-/// `max_results` embeddings is still reported [`SearchOutcome::Complete`];
-/// only a genuinely clipped pool is `Truncated` (and counted by the
-/// `edm_qdevice_vf2_cap_hits_total` telemetry counter).
-pub fn enumerate(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
-    let mut embeddings = Vec::new();
-    let outcome = for_each(pattern, target, max_results, |phi| {
-        embeddings.push(phi.to_vec())
-    });
-    EmbeddingSet {
-        embeddings,
-        outcome,
-    }
-}
-
-/// The visitor form of [`enumerate`]: hands each embedding to `visit` in
-/// enumeration order instead of storing it.
-///
-/// `visit` sees exactly the embeddings [`enumerate`] would return, in the
-/// same order; the `(max_results + 1)`-th embedding is never visited, it
-/// only marks the outcome [`SearchOutcome::Truncated`]. The latency
-/// histogram covers the search together with the visitor's own work.
+/// `visit` sees at most `max_results` embeddings (pass `usize::MAX` for
+/// all of them). The search runs one embedding past the cap: the
+/// `(max_results + 1)`-th embedding is never visited, it only marks the
+/// outcome [`SearchOutcome::Truncated`] (and is counted by the
+/// `edm_qdevice_vf2_cap_hits_total` counter), so a pool of exactly
+/// `max_results` embeddings is still [`SearchOutcome::Complete`]. The
+/// latency histogram covers the search together with the visitor's own
+/// work. [`crate::mapper::enumerate_embeddings`] collects the result.
 pub fn for_each(
     pattern: &Topology,
     target: &Topology,
@@ -144,11 +102,6 @@ fn search<F: FnMut(&[u32])>(
         SearchOutcome::Complete
     };
     (outcome, visited)
-}
-
-/// Returns true if at least one embedding of `pattern` into `target` exists.
-pub fn is_embeddable(pattern: &Topology, target: &Topology) -> bool {
-    !enumerate_subgraph_isomorphisms(pattern, target, 1).is_empty()
 }
 
 /// Computes a matching order: vertices sorted so that every vertex after the
@@ -327,8 +280,21 @@ impl<F: FnMut(&[u32])> State<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{self, EmbeddingSet, MapperSelection};
     use crate::presets;
     use crate::Topology;
+
+    fn enumerate(pattern: &Topology, target: &Topology, max_results: usize) -> EmbeddingSet {
+        mapper::enumerate_embeddings(pattern, target, max_results, MapperSelection::Exhaustive)
+    }
+
+    fn embeddings(pattern: &Topology, target: &Topology, max_results: usize) -> Vec<Vec<u32>> {
+        enumerate(pattern, target, max_results).embeddings
+    }
+
+    fn embeds(pattern: &Topology, target: &Topology) -> bool {
+        !embeddings(pattern, target, 1).is_empty()
+    }
 
     fn check_valid(pattern: &Topology, target: &Topology, phi: &[u32]) {
         // Injective.
@@ -349,7 +315,7 @@ mod tests {
     fn path_into_line_counts() {
         let pattern = presets::line(3);
         let target = presets::line(5);
-        let found = enumerate_subgraph_isomorphisms(&pattern, &target, usize::MAX);
+        let found = embeddings(&pattern, &target, usize::MAX);
         // Three start positions, two directions each.
         assert_eq!(found.len(), 6);
         for phi in &found {
@@ -361,7 +327,7 @@ mod tests {
     fn path_into_ring_counts() {
         let pattern = presets::line(3);
         let target = presets::ring(6);
-        let found = enumerate_subgraph_isomorphisms(&pattern, &target, usize::MAX);
+        let found = embeddings(&pattern, &target, usize::MAX);
         // 6 start positions * 2 directions.
         assert_eq!(found.len(), 12);
     }
@@ -370,31 +336,31 @@ mod tests {
     fn triangle_does_not_embed_into_tree() {
         let triangle = presets::ring(3);
         let tree = presets::line(5);
-        assert!(!is_embeddable(&triangle, &tree));
-        assert!(enumerate_subgraph_isomorphisms(&triangle, &tree, usize::MAX).is_empty());
+        assert!(!embeds(&triangle, &tree));
+        assert!(embeddings(&triangle, &tree, usize::MAX).is_empty());
     }
 
     #[test]
     fn triangle_embeds_into_dense_graph() {
         let triangle = presets::ring(3);
         let target = presets::tokyo20();
-        assert!(is_embeddable(&triangle, &target));
+        assert!(embeds(&triangle, &target));
     }
 
     #[test]
     fn star_requires_degree() {
         // A 4-star (center + 3 leaves) cannot embed into a line (max degree 2)
         let star = Topology::new(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert!(!is_embeddable(&star, &presets::line(10)));
+        assert!(!embeds(&star, &presets::line(10)));
         // ... but embeds into melbourne (degree-3 vertices exist).
-        assert!(is_embeddable(&star, &presets::melbourne14()));
+        assert!(embeds(&star, &presets::melbourne14()));
     }
 
     #[test]
     fn max_results_caps_enumeration() {
         let pattern = presets::line(2);
         let target = presets::melbourne14();
-        let found = enumerate_subgraph_isomorphisms(&pattern, &target, 5);
+        let found = embeddings(&pattern, &target, 5);
         assert_eq!(found.len(), 5);
     }
 
@@ -419,15 +385,13 @@ mod tests {
 
     #[test]
     fn pattern_larger_than_target_is_empty() {
-        assert!(
-            enumerate_subgraph_isomorphisms(&presets::line(5), &presets::line(4), 10).is_empty()
-        );
+        assert!(embeddings(&presets::line(5), &presets::line(4), 10).is_empty());
     }
 
     #[test]
     fn empty_pattern_has_single_empty_embedding() {
         let empty = Topology::new(0, &[]);
-        let found = enumerate_subgraph_isomorphisms(&empty, &presets::line(3), usize::MAX);
+        let found = embeddings(&empty, &presets::line(3), usize::MAX);
         assert_eq!(found, vec![Vec::<u32>::new()]);
     }
 
@@ -436,7 +400,7 @@ mod tests {
         // Pattern: one edge + one isolated vertex, into a line of 3.
         let pattern = Topology::new(3, &[(0, 1)]);
         let target = presets::line(3);
-        let found = enumerate_subgraph_isomorphisms(&pattern, &target, usize::MAX);
+        let found = embeddings(&pattern, &target, usize::MAX);
         for phi in &found {
             check_valid(&pattern, &target, phi);
         }
@@ -450,7 +414,7 @@ mod tests {
         // BV-6-like star-ish interaction pattern.
         let pattern = Topology::new(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let target = presets::melbourne14();
-        let found = enumerate_subgraph_isomorphisms(&pattern, &target, usize::MAX);
+        let found = embeddings(&pattern, &target, usize::MAX);
         assert!(!found.is_empty());
         for phi in &found {
             check_valid(&pattern, &target, phi);
@@ -461,7 +425,7 @@ mod tests {
     fn all_embeddings_distinct() {
         let pattern = presets::line(4);
         let target = presets::melbourne14();
-        let found = enumerate_subgraph_isomorphisms(&pattern, &target, usize::MAX);
+        let found = embeddings(&pattern, &target, usize::MAX);
         let mut set = std::collections::BTreeSet::new();
         for phi in &found {
             assert!(set.insert(phi.clone()), "duplicate embedding {phi:?}");

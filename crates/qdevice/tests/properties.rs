@@ -2,8 +2,14 @@
 //! against brute force, synthesis validity, and persistence round-trips.
 
 use proptest::prelude::*;
-use qdevice::fdls::{self, FdlsConfig};
-use qdevice::{persist, presets, vf2, DeviceModel, SynthesisProfile, Topology};
+use qdevice::fdls::FdlsConfig;
+use qdevice::mapper::{self, MapperSelection};
+use qdevice::{persist, presets, DeviceModel, SynthesisProfile, Topology};
+
+/// Every embedding `selection` finds of `pattern` into `target`.
+fn embeddings(pattern: &Topology, target: &Topology, selection: MapperSelection) -> Vec<Vec<u32>> {
+    mapper::enumerate_embeddings(pattern, target, usize::MAX, selection).embeddings
+}
 
 /// A random simple graph over `n` vertices.
 fn graph(n: u32) -> impl Strategy<Value = Topology> {
@@ -109,7 +115,7 @@ proptest! {
 
     #[test]
     fn vf2_count_matches_brute_force(p in graph(4), t in graph(5)) {
-        let fast = vf2::enumerate_subgraph_isomorphisms(&p, &t, usize::MAX).len();
+        let fast = embeddings(&p, &t, MapperSelection::Exhaustive).len();
         let slow = brute_force_count(&p, &t);
         prop_assert_eq!(fast, slow);
     }
@@ -121,9 +127,9 @@ proptest! {
         // the Auto mapper would search exhaustively.
         for make in [presets::melbourne14, presets::guadalupe16, presets::tokyo20] {
             let target = make();
-            let mut fast = vf2::enumerate(&p, &target, usize::MAX).embeddings;
+            let mut fast = embeddings(&p, &target, MapperSelection::Exhaustive);
             let mut filtered =
-                fdls::search(&p, &target, usize::MAX, &FdlsConfig::exhaustive()).embeddings;
+                embeddings(&p, &target, MapperSelection::Filtered(FdlsConfig::exhaustive()));
             fast.sort();
             filtered.sort();
             prop_assert_eq!(&fast, &filtered, "sets differ on a {}-qubit preset",
@@ -135,10 +141,10 @@ proptest! {
     fn fdls_under_budget_returns_a_subset_of_vf2(p in graph(4), t in graph(6)) {
         // Budgets may drop embeddings but never invent them.
         let full: std::collections::BTreeSet<Vec<u32>> =
-            vf2::enumerate(&p, &t, usize::MAX).embeddings.into_iter().collect();
+            embeddings(&p, &t, MapperSelection::Exhaustive).into_iter().collect();
         let tight = FdlsConfig { node_budget: 12, root_budget: 4, backtrack_depth: 1 };
         for config in [FdlsConfig::default(), tight] {
-            let got = fdls::search(&p, &t, usize::MAX, &config).embeddings;
+            let got = embeddings(&p, &t, MapperSelection::Filtered(config));
             let distinct: std::collections::BTreeSet<Vec<u32>> =
                 got.iter().cloned().collect();
             prop_assert_eq!(distinct.len(), got.len(), "duplicates in FDLS output");

@@ -1,12 +1,14 @@
 //! The visitor forms of the embedding search (`vf2::for_each`,
 //! `fdls::for_each`, `mapper::for_each_embedding`) must see exactly what
-//! the collecting forms return: the same embeddings in the same order, and
-//! the same outcome — `explored` included — below, at and above the pool
-//! size.
+//! the collector `mapper::enumerate_embeddings` returns: the same
+//! embeddings in the same order, and the same outcome — `explored`
+//! included — below, at and above the pool size.
 
 use qdevice::fdls::{self, FdlsConfig};
 use qdevice::mapper::{self, EmbeddingSet, MapperSelection, SearchOutcome};
 use qdevice::{presets, vf2, Topology};
+
+const EXHAUSTIVE: MapperSelection = MapperSelection::Exhaustive;
 
 fn patterns() -> Vec<(&'static str, Topology)> {
     vec![
@@ -74,34 +76,6 @@ fn check(
 }
 
 #[test]
-fn vf2_visitor_matches_the_collector() {
-    for (p, pattern) in patterns() {
-        for (t, target) in targets() {
-            check(
-                &format!("vf2 {p}@{t}"),
-                |cap, f| vf2::for_each(&pattern, &target, cap, f),
-                |cap| vf2::enumerate(&pattern, &target, cap),
-            );
-        }
-    }
-}
-
-#[test]
-fn fdls_visitor_matches_the_collector() {
-    for config in [FdlsConfig::default(), FdlsConfig::exhaustive()] {
-        for (p, pattern) in patterns() {
-            for (t, target) in targets() {
-                check(
-                    &format!("fdls {config:?} {p}@{t}"),
-                    |cap, f| fdls::for_each(&pattern, &target, cap, &config, f),
-                    |cap| fdls::search(&pattern, &target, cap, &config),
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn mapper_visitor_matches_the_collector_for_every_selection() {
     let selections = [
         MapperSelection::Auto,
@@ -126,13 +100,17 @@ fn mapper_visitor_matches_the_collector_for_every_selection() {
 fn empty_and_oversized_patterns_visit_like_they_collect() {
     let empty = Topology::new(0, &[]);
     let target = presets::line(3);
+    let filtered = MapperSelection::Filtered(FdlsConfig::default());
     for cap in [0, 1, usize::MAX] {
         let seen = visited(|f| vf2::for_each(&empty, &target, cap, f));
-        assert_eq!(seen, vf2::enumerate(&empty, &target, cap));
+        assert_eq!(
+            seen,
+            mapper::enumerate_embeddings(&empty, &target, cap, EXHAUSTIVE)
+        );
         let seen = visited(|f| fdls::for_each(&empty, &target, cap, &FdlsConfig::default(), f));
         assert_eq!(
             seen,
-            fdls::search(&empty, &target, cap, &FdlsConfig::default())
+            mapper::enumerate_embeddings(&empty, &target, cap, filtered)
         );
     }
     let big = presets::line(5);
@@ -169,34 +147,38 @@ fn enumeration_order_is_pinned() {
     let star = Topology::new(4, &[(0, 1), (0, 2), (0, 3)]);
     let isolated = Topology::new(3, &[(0, 1)]);
     let line = presets::line;
-    let fdls_default =
-        |p: &Topology, t: &Topology, cap| fdls::search(p, t, cap, &FdlsConfig::default());
-    let fdls_all =
-        |p: &Topology, t: &Topology| fdls::search(p, t, usize::MAX, &FdlsConfig::exhaustive());
+    let vf2 = |p: &Topology, t: &Topology, cap| mapper::enumerate_embeddings(p, t, cap, EXHAUSTIVE);
+    let fdls_default = |p: &Topology, t: &Topology, cap| {
+        mapper::enumerate_embeddings(p, t, cap, MapperSelection::Filtered(FdlsConfig::default()))
+    };
+    let fdls_all = |p: &Topology, t: &Topology| {
+        let all = MapperSelection::Filtered(FdlsConfig::exhaustive());
+        mapper::enumerate_embeddings(p, t, usize::MAX, all)
+    };
     let cases: Vec<(&str, EmbeddingSet, Fingerprint)> = vec![
         (
             "vf2 line-5@tokyo20",
-            vf2::enumerate(&line(5), &presets::tokyo20(), usize::MAX),
+            vf2(&line(5), &presets::tokyo20(), usize::MAX),
             (3200, 0x3e2f48506be81d4d, None),
         ),
         (
             "vf2 line-7@tokyo20 cap 5000",
-            vf2::enumerate(&line(7), &presets::tokyo20(), 5000),
+            vf2(&line(7), &presets::tokyo20(), 5000),
             (5000, 0x25e4b816c2930f7b, Some(7938)),
         ),
         (
             "vf2 ring-6@melbourne14",
-            vf2::enumerate(&presets::ring(6), &presets::melbourne14(), usize::MAX),
+            vf2(&presets::ring(6), &presets::melbourne14(), usize::MAX),
             (48, 0x71fb4830a13c8825, None),
         ),
         (
             "vf2 star-4@falcon27",
-            vf2::enumerate(&star, &presets::falcon27(), usize::MAX),
+            vf2(&star, &presets::falcon27(), usize::MAX),
             (48, 0x1358feda61c911fd, None),
         ),
         (
             "vf2 isolated@melbourne14",
-            vf2::enumerate(&isolated, &presets::melbourne14(), usize::MAX),
+            vf2(&isolated, &presets::melbourne14(), usize::MAX),
             (432, 0x948b5f9f75abe0f5, None),
         ),
         (

@@ -12,8 +12,7 @@
 //!   embedding ranking ([`placement::score_embeddings`] is the engine
 //!   behind both the best swap-free placement and EDM's top-K mapping
 //!   selection; it streams embeddings from exhaustive VF2 or the budgeted
-//!   FDLS search via [`MapperSelection`] and reports pool completeness;
-//!   [`placement::rank_embeddings_with`] collects the full ranked list),
+//!   FDLS search via [`MapperSelection`] and reports pool completeness),
 //! - [`router`] — SWAP insertion along reliability-optimal (Dijkstra) paths,
 //!   with a swap-count-minimizing baseline strategy,
 //! - [`Transpiler`] — the end-to-end pipeline producing device-basis
@@ -47,11 +46,10 @@ mod layout;
 pub mod optimize;
 pub mod placement;
 pub mod router;
-pub mod sabre;
 mod transpile;
 
 pub use error::MapError;
 pub use layout::Layout;
 pub use qdevice::mapper::MapperSelection;
 pub use router::RoutingStrategy;
-pub use transpile::{RouterBackend, TranspiledCircuit, Transpiler};
+pub use transpile::{TranspiledCircuit, Transpiler};

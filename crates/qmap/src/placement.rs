@@ -9,8 +9,8 @@
 //!   mappings. Embeddings are streamed through [`score_embeddings`], which
 //!   scores each one off a compiled [`esp::Scorer`] term list instead of
 //!   building its relabeled circuit: [`best_swap_free_placement_with`]
-//!   keeps a running argmax, and [`rank_embeddings_with`] collects the
-//!   whole ranked list for callers that need it.
+//!   keeps a running argmax, and EDM's `diversify_detailed` keeps the
+//!   top-K pool.
 //! - [`greedy_placement`]: a variation-aware greedy heuristic for circuits
 //!   whose interaction graph does not embed swap-free (routing will insert
 //!   SWAPs afterwards).
@@ -76,32 +76,22 @@ pub fn score_embeddings(
     }
 }
 
-/// ESP-ranked swap-free embeddings plus whether the pool is exhaustive.
-#[derive(Debug, Clone)]
-pub struct RankedLayouts {
-    /// `(layout, esp)` pairs, best first.
-    pub layouts: Vec<(Layout, f64)>,
-    /// True when the embedding search saw the whole pool — a ranking over
-    /// a truncated pool is best-effort and its top-K may be biased.
-    pub complete: bool,
-}
-
-/// Enumerates the swap-free embeddings of the circuit's interaction graph
-/// into the device with the given engine and returns them with their ESP,
-/// best first (ties in enumeration order).
+/// The single best swap-free placement by ESP, or `None` if the interaction
+/// graph does not embed. On devices where exhaustive enumeration is
+/// intractable, a budgeted [`MapperSelection::Filtered`] search yields the
+/// best embedding *seen* — still a strong variation-aware placement, though
+/// no longer provably optimal.
 ///
-/// `max_embeddings` caps the enumeration (pass `usize::MAX` for all). The
-/// circuit must be in the device basis (use [`qcir::Circuit::decomposed`]).
-/// A capped or budget-truncated enumeration is reported through
-/// [`RankedLayouts::complete`] (and the `edm_qmap_truncated_rankings_total`
-/// counter) instead of silently biasing the ranking.
+/// The circuit must be in the device basis (use
+/// [`qcir::Circuit::decomposed`]). A budget-truncated enumeration is
+/// counted by the `edm_qmap_truncated_rankings_total` counter.
 ///
 /// # Errors
 ///
 /// - [`MapError::TooManyQubits`] if the circuit is wider than the device.
 /// - [`MapError::UnsupportedGate`] if the circuit is not in the basis.
-///
-/// An empty result means no swap-free embedding exists.
+/// - [`MapError::UncalibratedEdge`] if an embedding uses an uncalibrated
+///   link (the first such embedding in enumeration order).
 ///
 /// # Examples
 ///
@@ -116,56 +106,15 @@ pub struct RankedLayouts {
 /// c.cx(0, 1);
 /// c.cx(1, 2);
 /// c.measure_all();
-/// let ranked = placement::rank_embeddings_with(
+/// let best = placement::best_swap_free_placement_with(
 ///     &c,
 ///     device.topology(),
 ///     &cal,
-///     usize::MAX,
 ///     MapperSelection::Exhaustive,
-/// )?
-/// .layouts;
-/// assert!(!ranked.is_empty());
-/// // Best first.
-/// assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
+/// )?;
+/// assert!(best.is_some());
 /// # Ok::<(), qmap::MapError>(())
 /// ```
-pub fn rank_embeddings_with(
-    circuit: &Circuit,
-    topology: &Topology,
-    cal: &Calibration,
-    max_embeddings: usize,
-    selection: MapperSelection,
-) -> Result<RankedLayouts, MapError> {
-    let mut ranked = Vec::new();
-    let complete = score_placements(
-        circuit,
-        topology,
-        cal,
-        max_embeddings,
-        selection,
-        |phi, esp| {
-            ranked.push((
-                Layout::from_physical(phi.to_vec(), topology.num_qubits()),
-                esp,
-            ))
-        },
-    )?;
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("ESP is finite"));
-    Ok(RankedLayouts {
-        layouts: ranked,
-        complete,
-    })
-}
-
-/// The single best swap-free placement by ESP, or `None` if the interaction
-/// graph does not embed. On devices where exhaustive enumeration is
-/// intractable, a budgeted [`MapperSelection::Filtered`] search yields the
-/// best embedding *seen* — still a strong variation-aware placement, though
-/// no longer provably optimal.
-///
-/// # Errors
-///
-/// Same conditions as [`rank_embeddings_with`].
 pub fn best_swap_free_placement_with(
     circuit: &Circuit,
     topology: &Topology,
@@ -186,27 +135,6 @@ pub(crate) fn best_placement_where(
     selection: MapperSelection,
     allowed: impl Fn(&[u32]) -> bool,
 ) -> Result<Option<Layout>, MapError> {
-    // Ranking wants every embedding; under a budgeted engine the search
-    // itself bounds the pool instead of a result cap.
-    let mut best: Option<(f64, Vec<u32>)> = None;
-    score_placements(circuit, topology, cal, usize::MAX, selection, |phi, esp| {
-        if best.as_ref().is_none_or(|(top, _)| esp > *top) && allowed(phi) {
-            best = Some((esp, phi.to_vec()));
-        }
-    })?;
-    Ok(best.map(|(_, phi)| Layout::from_physical(phi, topology.num_qubits())))
-}
-
-/// Scores every swap-free embedding of the circuit's interaction graph in
-/// enumeration order. Returns whether the pool was complete.
-fn score_placements(
-    circuit: &Circuit,
-    topology: &Topology,
-    cal: &Calibration,
-    max_embeddings: usize,
-    selection: MapperSelection,
-    visit: impl FnMut(&[u32], f64),
-) -> Result<bool, MapError> {
     if circuit.num_qubits() > topology.num_qubits() {
         return Err(MapError::TooManyQubits {
             circuit: circuit.num_qubits(),
@@ -215,24 +143,30 @@ fn score_placements(
     }
     let pattern = interaction_topology(circuit);
     let scorer = esp::Scorer::new(circuit, topology.num_qubits(), Qubit::index, cal);
+    // Ranking wants every embedding; under a budgeted engine the search
+    // itself bounds the pool instead of a result cap.
+    let mut best: Option<(f64, Vec<u32>)> = None;
     let (outcome, _) = score_embeddings(
         &scorer,
         &pattern,
         topology,
-        max_embeddings,
+        usize::MAX,
         selection,
         |_| true,
-        visit,
+        |phi, esp| {
+            if best.as_ref().is_none_or(|(top, _)| esp > *top) && allowed(phi) {
+                best = Some((esp, phi.to_vec()));
+            }
+        },
     )?;
-    let complete = outcome == SearchOutcome::Complete;
-    if !complete {
+    if outcome != SearchOutcome::Complete {
         edm_telemetry::counter!(
             "edm_qmap_truncated_rankings_total",
             "ESP rankings computed over a truncated embedding pool"
         )
         .inc();
     }
-    Ok(complete)
+    Ok(best.map(|(_, phi)| Layout::from_physical(phi, topology.num_qubits())))
 }
 
 /// Variation-aware greedy placement for circuits that need routing.
@@ -355,6 +289,37 @@ mod tests {
         c
     }
 
+    /// The first `cap` exhaustive embeddings of `c` with their ESP, best
+    /// first.
+    fn ranked(
+        c: &Circuit,
+        topology: &Topology,
+        cal: &Calibration,
+        cap: usize,
+    ) -> Vec<(Layout, f64)> {
+        let scorer = esp::Scorer::new(c, topology.num_qubits(), Qubit::index, cal);
+        let pattern = interaction_topology(c);
+        let mut ranked = Vec::new();
+        let (_, scored) = score_embeddings(
+            &scorer,
+            &pattern,
+            topology,
+            cap,
+            MapperSelection::Exhaustive,
+            |_| true,
+            |phi, esp| {
+                ranked.push((
+                    Layout::from_physical(phi.to_vec(), topology.num_qubits()),
+                    esp,
+                ))
+            },
+        )
+        .unwrap();
+        assert_eq!(scored as usize, ranked.len());
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        ranked
+    }
+
     #[test]
     fn interaction_topology_matches_gates() {
         let mut c = Circuit::new(4, 0);
@@ -369,15 +334,7 @@ mod tests {
     fn rank_embeddings_sorted_and_valid() {
         let (d, cal) = setup();
         let c = path_circuit(4);
-        let ranked = rank_embeddings_with(
-            &c,
-            d.topology(),
-            &cal,
-            usize::MAX,
-            MapperSelection::Exhaustive,
-        )
-        .unwrap()
-        .layouts;
+        let ranked = ranked(&c, d.topology(), &cal, usize::MAX);
         assert!(ranked.len() > 10);
         for w in ranked.windows(2) {
             assert!(w[0].1 >= w[1].1);
@@ -453,7 +410,7 @@ mod tests {
             MapError::TooManyQubits { .. }
         ));
         assert!(matches!(
-            rank_embeddings_with(&c, d.topology(), &cal, 10, MapperSelection::Exhaustive)
+            best_swap_free_placement_with(&c, d.topology(), &cal, MapperSelection::Exhaustive)
                 .unwrap_err(),
             MapError::TooManyQubits { .. }
         ));
@@ -463,10 +420,7 @@ mod tests {
     fn max_embeddings_caps_results() {
         let (d, cal) = setup();
         let c = path_circuit(3);
-        let ranked = rank_embeddings_with(&c, d.topology(), &cal, 7, MapperSelection::Exhaustive)
-            .unwrap()
-            .layouts;
-        assert_eq!(ranked.len(), 7);
+        assert_eq!(ranked(&c, d.topology(), &cal, 7).len(), 7);
     }
 
     #[test]
@@ -475,15 +429,7 @@ mod tests {
         // hardware.
         let (d, cal) = setup();
         let c = path_circuit(4);
-        let ranked = rank_embeddings_with(
-            &c,
-            d.topology(),
-            &cal,
-            usize::MAX,
-            MapperSelection::Exhaustive,
-        )
-        .unwrap()
-        .layouts;
+        let ranked = ranked(&c, d.topology(), &cal, usize::MAX);
         let top: Vec<_> = ranked.iter().take(4).map(|(l, _)| l.clone()).collect();
         let mut any_disjointness = false;
         for i in 0..top.len() {

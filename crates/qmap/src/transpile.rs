@@ -5,7 +5,7 @@
 //! ([`Transpiler::transpile_with_layout`]) for EDM to re-compile the same
 //! program under each of its diverse initial mappings.
 
-use crate::{esp, placement, router, sabre, Layout, MapError, RoutingStrategy};
+use crate::{esp, placement, router, Layout, MapError, RoutingStrategy};
 use qcir::Circuit;
 use qdevice::drift::Quarantine;
 use qdevice::mapper::MapperSelection;
@@ -30,16 +30,6 @@ pub struct TranspiledCircuit {
     pub swap_count: usize,
     /// Compile-time Estimated Success Probability of the physical circuit.
     pub esp: f64,
-}
-
-/// Which SWAP-insertion engine the transpiler uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouterBackend {
-    /// Per-gate Dijkstra routing (the default).
-    #[default]
-    Greedy,
-    /// SABRE-style look-ahead routing over the dependency DAG.
-    Lookahead,
 }
 
 /// Variation-aware transpiler for a fixed device and calibration.
@@ -70,7 +60,6 @@ pub struct Transpiler<'a> {
     topology: &'a Topology,
     calibration: &'a Calibration,
     strategy: RoutingStrategy,
-    backend: RouterBackend,
     /// Embedding-engine selection (see [`Transpiler::with_mapper`]).
     mapper: MapperSelection,
     /// Drift quarantine, if any (see [`Transpiler::with_quarantine`]).
@@ -97,7 +86,6 @@ impl<'a> Transpiler<'a> {
             topology,
             calibration,
             strategy: RoutingStrategy::default(),
-            backend: RouterBackend::default(),
             mapper: MapperSelection::default(),
             quarantine: None,
             masked: None,
@@ -129,12 +117,6 @@ impl<'a> Transpiler<'a> {
     /// Selects the routing cost model.
     pub fn with_strategy(mut self, strategy: RoutingStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Selects the SWAP-insertion engine.
-    pub fn with_router(mut self, backend: RouterBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -250,11 +232,14 @@ impl<'a> Transpiler<'a> {
         layout: &Layout,
     ) -> Result<TranspiledCircuit, MapError> {
         let basis = circuit.decomposed();
-        let routed = match self.route(&basis, layout, self.effective_topology()) {
+        let route = |topology: &Topology| {
+            router::route(&basis, topology, self.calibration, layout, self.strategy)
+        };
+        let routed = match route(self.effective_topology()) {
             Ok(routed) => routed,
             // Quarantine may disconnect the masked graph; route on the full
             // device rather than fail compilation outright.
-            Err(_) if self.masked.is_some() => self.route(&basis, layout, self.topology)?,
+            Err(_) if self.masked.is_some() => route(self.topology)?,
             Err(e) => return Err(e),
         };
         let physical = routed.circuit.decomposed();
@@ -266,95 +251,6 @@ impl<'a> Transpiler<'a> {
             swap_count: routed.swap_count,
             esp,
         })
-    }
-
-    /// Routes `basis` under `layout` on the given topology with the
-    /// configured engine and strategy.
-    fn route(
-        &self,
-        basis: &Circuit,
-        layout: &Layout,
-        topology: &Topology,
-    ) -> Result<router::RoutedCircuit, MapError> {
-        match self.backend {
-            RouterBackend::Greedy => {
-                router::route(basis, topology, self.calibration, layout, self.strategy)
-            }
-            RouterBackend::Lookahead => {
-                sabre::route_lookahead(basis, topology, self.calibration, layout, self.strategy)
-            }
-        }
-    }
-
-    /// Ranks every swap-free embedding of `circuit` by ESP, best first —
-    /// the candidate pool EDM draws its top-K diverse mappings from.
-    ///
-    /// Under an active quarantine the candidates are enumerated on the
-    /// masked topology and layouts touching quarantined qubits are
-    /// filtered out; if that leaves nothing, the full-device ranking is
-    /// returned instead (quarantine must never empty the candidate pool).
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement failures.
-    pub fn ranked_layouts(
-        &self,
-        circuit: &Circuit,
-        max: usize,
-    ) -> Result<Vec<(Layout, f64)>, MapError> {
-        self.ranked_layouts_detailed(circuit, max)
-            .map(|r| r.layouts)
-    }
-
-    /// [`Transpiler::ranked_layouts`] with the pool-completeness signal:
-    /// `complete` is false when the configured mapper's cap or budget
-    /// clipped the enumeration (the top-K is then best-effort).
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement failures.
-    pub fn ranked_layouts_detailed(
-        &self,
-        circuit: &Circuit,
-        max: usize,
-    ) -> Result<placement::RankedLayouts, MapError> {
-        let basis = circuit.decomposed();
-        let Some(quarantine) = &self.quarantine else {
-            return placement::rank_embeddings_with(
-                &basis,
-                self.topology,
-                self.calibration,
-                max,
-                self.mapper,
-            );
-        };
-        let ranked = placement::rank_embeddings_with(
-            &basis,
-            self.effective_topology(),
-            self.calibration,
-            max,
-            self.mapper,
-        )?;
-        let complete = ranked.complete;
-        let allowed: Vec<(Layout, f64)> = ranked
-            .layouts
-            .into_iter()
-            .filter(|(l, _)| quarantine.allows_footprint(&l.physical_qubits()))
-            .collect();
-        if allowed.is_empty() {
-            placement::rank_embeddings_with(
-                &basis,
-                self.topology,
-                self.calibration,
-                max,
-                self.mapper,
-            )
-        } else {
-            Ok(placement::RankedLayouts {
-                layouts: allowed,
-                complete,
-            })
-        }
     }
 }
 
@@ -459,18 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_layouts_decreasing_and_plentiful() {
-        let d = setup();
-        let cal = d.calibration();
-        let t = Transpiler::new(d.topology(), &cal);
-        let ranked = t.ranked_layouts(&ghz(4), usize::MAX).unwrap();
-        assert!(ranked.len() >= 8, "only {} embeddings", ranked.len());
-        for w in ranked.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-    }
-
-    #[test]
     fn auto_placement_beats_or_matches_identity_layout() {
         let d = setup();
         let cal = d.calibration();
@@ -509,7 +393,22 @@ mod tests {
 mod mapper_tests {
     use super::*;
     use qdevice::fdls::FdlsConfig;
+    use qdevice::mapper::{self, SearchOutcome};
     use qdevice::{presets, DeviceModel};
+
+    /// The embeddings `t`'s engine hands to ESP scoring for `circuit`.
+    fn pool(t: &Transpiler<'_>, circuit: &Circuit) -> (Vec<Vec<u32>>, SearchOutcome) {
+        let pattern = placement::interaction_topology(&circuit.decomposed());
+        let mut seen = Vec::new();
+        let outcome = mapper::for_each_embedding(
+            &pattern,
+            t.effective_topology(),
+            usize::MAX,
+            t.mapper_selection(),
+            |phi| seen.push(phi.to_vec()),
+        );
+        (seen, outcome)
+    }
 
     fn path(n: u32) -> Circuit {
         let mut c = Circuit::new(n, n);
@@ -521,21 +420,30 @@ mod mapper_tests {
     }
 
     #[test]
+    fn swap_free_pool_is_plentiful() {
+        let d = DeviceModel::synthesize(presets::melbourne14(), 31);
+        let cal = d.calibration();
+        let (seen, outcome) = pool(&Transpiler::new(d.topology(), &cal), &path(4));
+        assert_eq!(outcome, SearchOutcome::Complete);
+        assert!(seen.len() >= 8, "only {} embeddings", seen.len());
+    }
+
+    #[test]
     fn auto_mapper_matches_exhaustive_on_small_devices() {
         // The Auto/Exhaustive equivalence EDM's small-device results rely
-        // on: identical ranked pools, bit for bit.
+        // on: the same embeddings in the same order, so the same ESP
+        // ranking and the same chosen layout, bit for bit.
         let d = DeviceModel::synthesize(presets::melbourne14(), 31);
         let cal = d.calibration();
         let auto = Transpiler::new(d.topology(), &cal);
         let vf2 = Transpiler::new(d.topology(), &cal).with_mapper(MapperSelection::Exhaustive);
-        let a = auto.ranked_layouts_detailed(&path(4), usize::MAX).unwrap();
-        let b = vf2.ranked_layouts_detailed(&path(4), usize::MAX).unwrap();
-        assert!(a.complete && b.complete);
-        assert_eq!(a.layouts.len(), b.layouts.len());
-        for ((la, ea), (lb, eb)) in a.layouts.iter().zip(&b.layouts) {
-            assert_eq!(la, lb);
-            assert_eq!(ea.to_bits(), eb.to_bits());
-        }
+        let (a, outcome) = pool(&auto, &path(4));
+        assert_eq!(outcome, SearchOutcome::Complete);
+        assert!(!a.is_empty());
+        assert_eq!((a, outcome), pool(&vf2, &path(4)));
+        let (ta, tb) = (auto.transpile(&path(4)), vf2.transpile(&path(4)));
+        assert_eq!(ta, tb);
+        assert_eq!(ta.unwrap().esp.to_bits(), tb.unwrap().esp.to_bits());
     }
 
     #[test]
@@ -558,8 +466,8 @@ mod mapper_tests {
             ..FdlsConfig::default()
         };
         let t = Transpiler::new(d.topology(), &cal).with_mapper(MapperSelection::Filtered(tiny));
-        let ranked = t.ranked_layouts_detailed(&path(6), usize::MAX).unwrap();
-        assert!(!ranked.complete);
+        let (_, outcome) = pool(&t, &path(6));
+        assert!(matches!(outcome, SearchOutcome::Truncated { .. }));
     }
 }
 
@@ -611,25 +519,6 @@ mod quarantine_tests {
     }
 
     #[test]
-    fn ranked_layouts_respect_the_quarantine() {
-        let d = setup();
-        let cal = d.calibration();
-        let mut q = Quarantine::new();
-        q.add_qubit(0);
-        let t = Transpiler::new(d.topology(), &cal).with_quarantine(&q);
-        let ranked = t.ranked_layouts(&ghz(4), usize::MAX).unwrap();
-        assert!(!ranked.is_empty());
-        for (layout, _) in &ranked {
-            assert!(q.allows_footprint(&layout.physical_qubits()));
-        }
-        // Strictly fewer candidates than the unquarantined pool.
-        let full = Transpiler::new(d.topology(), &cal)
-            .ranked_layouts(&ghz(4), usize::MAX)
-            .unwrap();
-        assert!(ranked.len() < full.len());
-    }
-
-    #[test]
     fn impossible_quarantine_falls_back_to_full_device() {
         let d = setup();
         let cal = d.calibration();
@@ -639,12 +528,9 @@ mod quarantine_tests {
             q.add_qubit(qubit);
         }
         let t = Transpiler::new(d.topology(), &cal).with_quarantine(&q);
-        // Compilation must still succeed (availability over purity)...
+        // Compilation must still succeed (availability over purity).
         let out = t.transpile(&ghz(4)).unwrap();
         assert!(out.esp > 0.0);
-        // ...and the candidate pool must not be empty either.
-        let ranked = t.ranked_layouts(&ghz(4), usize::MAX).unwrap();
-        assert!(!ranked.is_empty());
     }
 
     #[test]
@@ -677,33 +563,5 @@ mod quarantine_tests {
         assert!(!detour.initial_layout.physical_qubits().contains(&first));
         // The detour pays at most a modest ESP price on a 14-qubit device.
         assert!(detour.esp > 0.0);
-    }
-}
-
-#[cfg(test)]
-mod backend_tests {
-    use super::*;
-    use qdevice::{presets, DeviceModel};
-    use qsim::ideal;
-
-    #[test]
-    fn lookahead_backend_produces_equivalent_circuits() {
-        let d = DeviceModel::synthesize(presets::melbourne14(), 13);
-        let cal = d.calibration();
-        let mut c = qcir::Circuit::new(5, 5);
-        c.h(0).cx(0, 1).cx(0, 2).cx(0, 3).cx(0, 4).measure_all();
-        let greedy = Transpiler::new(d.topology(), &cal)
-            .with_router(RouterBackend::Greedy)
-            .transpile(&c)
-            .unwrap();
-        let lookahead = Transpiler::new(d.topology(), &cal)
-            .with_router(RouterBackend::Lookahead)
-            .transpile(&c)
-            .unwrap();
-        assert_eq!(
-            ideal::outcome(&greedy.physical).unwrap(),
-            ideal::outcome(&lookahead.physical).unwrap()
-        );
-        assert!(lookahead.esp > 0.0);
     }
 }

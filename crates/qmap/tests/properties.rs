@@ -1,12 +1,14 @@
-//! Property-based tests for the transpiler: both routers preserve
+//! Property-based tests for the transpiler: the router preserves
 //! semantics, placements are valid, and the optimizer never changes a
 //! circuit's meaning.
 
 use proptest::prelude::*;
 use qcir::Circuit;
+use qcir::Qubit;
 use qdevice::{presets, DeviceModel};
+use qdevice::{Calibration, Topology};
 use qmap::{
-    optimize, placement, router, sabre, Layout, RouterBackend, RoutingStrategy, Transpiler,
+    esp, optimize, placement, router, Layout, MapperSelection, RoutingStrategy, Transpiler,
 };
 use qsim::ideal;
 
@@ -55,6 +57,37 @@ fn basis_circuit(n: u32, max_ops: usize) -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// The first `cap` embeddings `selection` finds for `c`, with their ESP,
+/// best first.
+fn ranked(
+    c: &Circuit,
+    topology: &Topology,
+    cal: &Calibration,
+    cap: usize,
+    selection: MapperSelection,
+) -> Vec<(Layout, f64)> {
+    let scorer = esp::Scorer::new(c, topology.num_qubits(), Qubit::index, cal);
+    let pattern = placement::interaction_topology(c);
+    let mut ranked = Vec::new();
+    placement::score_embeddings(
+        &scorer,
+        &pattern,
+        topology,
+        cap,
+        selection,
+        |_| true,
+        |phi, esp| {
+            ranked.push((
+                Layout::from_physical(phi.to_vec(), topology.num_qubits()),
+                esp,
+            ))
+        },
+    )
+    .expect("ranks");
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    ranked
+}
+
 fn dist_eq(
     a: &std::collections::BTreeMap<u64, f64>,
     b: &std::collections::BTreeMap<u64, f64>,
@@ -68,43 +101,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn both_routers_preserve_semantics(c in basis_circuit(5, 16), seed in 0u64..30) {
+    fn router_preserves_semantics(c in basis_circuit(5, 16), seed in 0u64..30) {
         let device = DeviceModel::synthesize(presets::melbourne14(), seed);
         let cal = device.calibration();
         let layout = Layout::from_physical(vec![0, 4, 9, 12, 7], 14);
         let logical = ideal::probabilities(&c).expect("valid");
 
-        let greedy = router::route(
+        let routed = router::route(
             &c, device.topology(), &cal, &layout, RoutingStrategy::ReliabilityAware,
         ).expect("routable");
-        let lookahead = sabre::route_lookahead(
-            &c, device.topology(), &cal, &layout, RoutingStrategy::ReliabilityAware,
-        ).expect("routable");
-
-        for routed in [&greedy, &lookahead] {
-            let physical = routed.circuit.decomposed();
-            let got = ideal::probabilities(&physical).expect("valid");
-            prop_assert!(dist_eq(&logical, &got));
-            for g in physical.iter() {
-                if g.is_two_qubit() {
-                    let q = g.qubits();
-                    prop_assert!(device.topology().has_edge(q[0].index(), q[1].index()));
-                }
+        let physical = routed.circuit.decomposed();
+        let got = ideal::probabilities(&physical).expect("valid");
+        prop_assert!(dist_eq(&logical, &got));
+        for g in physical.iter() {
+            if g.is_two_qubit() {
+                let q = g.qubits();
+                prop_assert!(device.topology().has_edge(q[0].index(), q[1].index()));
             }
         }
     }
 
     #[test]
-    fn transpiler_backends_agree_on_outcomes(c in basis_circuit(4, 12), seed in 0u64..20) {
+    fn transpiler_preserves_outcomes(c in basis_circuit(4, 12), seed in 0u64..20) {
         let device = DeviceModel::synthesize(presets::melbourne14(), seed);
         let cal = device.calibration();
         let logical = ideal::probabilities(&c).expect("valid");
-        for backend in [RouterBackend::Greedy, RouterBackend::Lookahead] {
-            let t = Transpiler::new(device.topology(), &cal).with_router(backend);
-            let out = t.transpile(&c).expect("transpiles");
-            let got = ideal::probabilities(&out.physical).expect("valid");
-            prop_assert!(dist_eq(&logical, &got), "{:?}", backend);
-        }
+        let out = Transpiler::new(device.topology(), &cal).transpile(&c).expect("transpiles");
+        let got = ideal::probabilities(&out.physical).expect("valid");
+        prop_assert!(dist_eq(&logical, &got));
     }
 
     #[test]
@@ -132,16 +156,7 @@ proptest! {
     fn ranked_embeddings_when_present_support_the_circuit(c in basis_circuit(4, 10), seed in 0u64..20) {
         let device = DeviceModel::synthesize(presets::melbourne14(), seed);
         let cal = device.calibration();
-        let ranked = placement::rank_embeddings_with(
-            &c,
-            device.topology(),
-            &cal,
-            50,
-            qmap::MapperSelection::Exhaustive,
-        )
-        .expect("ranks")
-        .layouts;
-        for (layout, esp) in ranked {
+        for (layout, esp) in ranked(&c, device.topology(), &cal, 50, MapperSelection::Exhaustive) {
             prop_assert!(esp > 0.0 && esp <= 1.0);
             // Swap-free: every interaction edge coupled under the layout.
             for (a, b) in c.interaction_edges() {
@@ -183,19 +198,18 @@ fn filtered_ranking_on_eagle_yields_a_diverse_esp_ranked_pool() {
     }
     c.measure_all();
 
-    let ranked = placement::rank_embeddings_with(
+    let ranked = ranked(
         &c,
         device.topology(),
         &cal,
         64,
-        qmap::MapperSelection::Filtered(qdevice::fdls::FdlsConfig::default()),
-    )
-    .expect("ranks");
-    assert!(ranked.layouts.len() >= 5, "only {}", ranked.layouts.len());
+        MapperSelection::Filtered(qdevice::fdls::FdlsConfig::default()),
+    );
+    assert!(ranked.len() >= 5, "only {}", ranked.len());
 
     let mut footprints = std::collections::BTreeSet::new();
     let mut prev = f64::INFINITY;
-    for (layout, esp) in &ranked.layouts {
+    for (layout, esp) in &ranked {
         assert!(esp.is_finite() && *esp > 0.0 && *esp <= 1.0);
         assert!(*esp <= prev, "pool not sorted best-first");
         prev = *esp;

@@ -12,7 +12,7 @@ use edm_core::mitigate::{unfold, ReadoutConfusion};
 use edm_core::{filter, metrics, EdmRunner, EnsembleConfig, ProbDist};
 use qbench::bv;
 use qdevice::{presets, DeviceModel};
-use qmap::{RouterBackend, Transpiler};
+use qmap::Transpiler;
 use qsim::NoisySimulator;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A heavy-hex device: EDM is not melbourne-specific.
     let device = DeviceModel::synthesize(presets::guadalupe16(), 8);
     let cal = device.calibration();
-    let transpiler = Transpiler::new(device.topology(), &cal).with_router(RouterBackend::Lookahead);
+    let transpiler = Transpiler::new(device.topology(), &cal);
     let backend = NoisySimulator::from_device(&device);
     let config = EnsembleConfig {
         uniformity_filter: Some(filter::DEFAULT_RSD_THRESHOLD),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! edm-cli draw <circuit.qasm>                 render an ASCII diagram
-//! edm-cli transpile <circuit.qasm> [--device NAME] [--mapper NAME] [--seed N]
+//! edm-cli transpile <circuit.qasm> [--device NAME] [--seed N]
 //!                                             map onto a simulated device
 //! edm-cli run <circuit.qasm> [--device NAME] [--shots N] [--seed N]
 //!                [--threads N] [--profile]    baseline vs EDM vs WEDM
@@ -10,15 +10,15 @@
 //!                [--trace-out FILE]           submit to a fleet server
 //! edm-cli trace <job-id> --connect ADDR       print a job's span timeline
 //! edm-cli stats --connect ADDR [--watch N]    per-device fleet status table
-//! edm-cli map (<circuit.qasm> | --bench NAME) [--device NAME] [--mapper NAME]
-//!                [--ensemble K] [--seed N]    enumerate a diverse top-K pool
+//! edm-cli map (<circuit.qasm> | --bench NAME) [--device NAME] [--ensemble K]
+//!                [--seed N]                   enumerate a diverse top-K pool
 //! edm-cli device [--device NAME] [--seed N]   dump the device model as JSON
 //! ```
 //!
 //! Circuits are OpenQASM 2.0 in the subset `qcir::qasm` understands (the
 //! same subset it emits). `--device` takes any `qdevice::presets` name
-//! (melbourne14 … eagle127); `--mapper` picks the embedding engine
-//! (auto | exhaustive | filtered).
+//! (melbourne14 … eagle127); the embedding engine follows the device size
+//! (exhaustive VF2 up to 20 qubits, budgeted FDLS above).
 
 use edm_core::{
     metrics, Backend, Controller, ControllerConfig, ControllerEvent, EdmError, EdmRunner,
@@ -28,7 +28,7 @@ use edm_serve::{exitcode, flags, validate};
 use qcir::{draw, qasm, Circuit};
 use qdevice::mapper::SearchOutcome;
 use qdevice::{persist, presets, DeviceModel, Topology};
-use qmap::{MapperSelection, Transpiler};
+use qmap::Transpiler;
 use qsim::{ideal, NoisySimulator};
 use std::process::ExitCode;
 
@@ -110,25 +110,23 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   edm-cli draw <circuit.qasm>
-  edm-cli transpile <circuit.qasm> [--device NAME] [--mapper NAME] [--seed N]
-  edm-cli run <circuit.qasm> [--device NAME] [--mapper NAME] [--shots N]
-             [--seed N] [--threads N] [--profile]
+  edm-cli transpile <circuit.qasm> [--device NAME] [--seed N]
+  edm-cli run <circuit.qasm> [--device NAME] [--shots N] [--seed N]
+             [--threads N] [--profile]
              [--adaptive-controller] [--rounds N]
   edm-cli run <circuit.qasm> --connect ADDR [--shots N] [--seed N]
              [--trace-out FILE]
   edm-cli trace <job-id> --connect ADDR
   edm-cli stats --connect ADDR [--watch N]
-  edm-cli map (<circuit.qasm> | --bench NAME) [--device NAME] [--mapper NAME]
-             [--ensemble K] [--seed N]
+  edm-cli map (<circuit.qasm> | --bench NAME) [--device NAME] [--ensemble K]
+             [--seed N]
   edm-cli device [--device NAME] [--seed N]
 
-device / mapper options:
+device options:
   --device NAME preset topology to synthesize (default: melbourne14).
                 Presets: melbourne14 guadalupe16 tokyo20 falcon27
-                hummingbird65 eagle127
-  --mapper NAME embedding engine: auto (exhaustive up to 20 qubits,
-                filtered above — the default), exhaustive (full VF2),
-                or filtered (budgeted depth-limited FDLS search)
+                hummingbird65 eagle127. Devices up to 20 qubits map with
+                exhaustive VF2, larger ones with the budgeted FDLS search
 
 map options:
   --bench NAME  use a registry workload instead of a .qasm file: a Table-1
@@ -199,18 +197,6 @@ fn device_flag(args: &[String]) -> Result<(Topology, String), CliError> {
     Ok((topology, name))
 }
 
-/// `--mapper NAME`, defaulting to size-based auto selection.
-fn mapper_flag(args: &[String]) -> Result<MapperSelection, CliError> {
-    match flags::text(args, "--mapper")? {
-        Some(name) => MapperSelection::parse(&name).ok_or_else(|| {
-            CliError::usage(format!(
-                "--mapper: unknown engine '{name}' (expected auto, exhaustive, or filtered)"
-            ))
-        }),
-        None => Ok(MapperSelection::Auto),
-    }
-}
-
 /// Rejects any argument outside a subcommand's declared flags (exit 2),
 /// after taking out the one positional argument at `positional`.
 fn check_flags(
@@ -247,26 +233,20 @@ fn cmd_draw(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_transpile(args: &[String]) -> Result<(), CliError> {
-    check_flags(
-        args,
-        qasm_arg(args),
-        &["--device", "--mapper", "--seed"],
-        &[],
-    )?;
+    check_flags(args, qasm_arg(args), &["--device", "--seed"], &[])?;
     let circuit = load_circuit(args)?;
     let seed = flags::int(args, "--seed")?.unwrap_or(42);
     let (topology, device_name) = device_flag(args)?;
-    let mapper = mapper_flag(args)?;
     let device = DeviceModel::synthesize(topology, seed);
     let cal = device.calibration();
-    let out = Transpiler::new(device.topology(), &cal)
-        .with_mapper(mapper)
+    let transpiler = Transpiler::new(device.topology(), &cal);
+    let out = transpiler
         .transpile(&circuit)
         .map_err(|e| CliError::other(e.to_string()))?;
     println!(
         "device: {device_name} ({} qubits)  mapper: {}",
         device.topology().num_qubits(),
-        mapper.describe(device.topology())
+        transpiler.mapper_selection().describe(device.topology())
     );
     println!("initial layout: {}", out.initial_layout);
     println!("swaps inserted: {}", out.swap_count);
@@ -281,7 +261,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         qasm_arg(args),
         &[
             "--device",
-            "--mapper",
             "--shots",
             "--seed",
             "--threads",
@@ -301,7 +280,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::usage(format!("--threads: {e}")))?;
     let profile = flags::switch(args, "--profile");
     let (topology, _) = device_flag(args)?;
-    let mapper = mapper_flag(args)?;
     if circuit.count_measure() == 0 {
         return Err(CliError::data(
             "circuit has no measurements; nothing to run",
@@ -318,7 +296,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         if rounds < 2 {
             return Err(CliError::usage("--rounds must be at least 2"));
         }
-        return cmd_run_adaptive(&circuit, shots, seed, rounds, threads, topology, mapper);
+        return cmd_run_adaptive(&circuit, shots, seed, rounds, threads, topology);
     }
     if profile {
         edm_telemetry::set_enabled(true);
@@ -335,7 +313,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         device = DeviceModel::synthesize(topology, seed);
         cal = device.calibration();
     }
-    let transpiler = Transpiler::new(device.topology(), &cal).with_mapper(mapper);
+    let transpiler = Transpiler::new(device.topology(), &cal);
     let backend = NoisySimulator::from_device(&device);
     let mut runner = EdmRunner::new(&transpiler, &backend, EnsembleConfig::default());
     if let Some(threads) = threads {
@@ -408,13 +386,12 @@ fn cmd_run_adaptive(
     rounds: u64,
     threads: Option<usize>,
     topology: Topology,
-    mapper: MapperSelection,
 ) -> Result<(), CliError> {
     let correct = ideal::outcome(circuit).map_err(|e| CliError::data(e.to_string()))?;
     let width = circuit.num_clbits();
     let device = DeviceModel::synthesize(topology, seed);
     let cal = device.calibration();
-    let transpiler = Transpiler::new(device.topology(), &cal).with_mapper(mapper);
+    let transpiler = Transpiler::new(device.topology(), &cal);
     let backend = NoisySimulator::from_device(&device);
     let threads = threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -513,13 +490,13 @@ fn cmd_run_adaptive(
 /// `map`: transpiles a workload onto the chosen preset and prints the
 /// diversified top-K mapping pool — the EDM ensemble before any shots are
 /// spent. This is the command the CI mapping smoke test drives: it proves
-/// the selected engine can produce a ranked, diverse pool on the large
-/// heavy-hex presets within its budget.
+/// the engine the device size selects can produce a ranked, diverse pool
+/// on the large heavy-hex presets within its budget.
 fn cmd_map(args: &[String]) -> Result<(), CliError> {
     check_flags(
         args,
         qasm_arg(args),
-        &["--bench", "--device", "--mapper", "--ensemble", "--seed"],
+        &["--bench", "--device", "--ensemble", "--seed"],
         &[],
     )?;
     let circuit = match flags::text(args, "--bench")? {
@@ -536,10 +513,9 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
     let seed = flags::int(args, "--seed")?.unwrap_or(42);
     let size = flags::int(args, "--ensemble")?.unwrap_or(4) as usize;
     let (topology, device_name) = device_flag(args)?;
-    let mapper = mapper_flag(args)?;
     let device = DeviceModel::synthesize(topology, seed);
     let cal = device.calibration();
-    let transpiler = Transpiler::new(device.topology(), &cal).with_mapper(mapper);
+    let transpiler = Transpiler::new(device.topology(), &cal);
 
     let out = transpiler
         .transpile(&circuit)
@@ -557,7 +533,7 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
     println!(
         "device: {device_name} ({} qubits)  mapper: {}",
         device.topology().num_qubits(),
-        mapper.describe(device.topology())
+        transpiler.mapper_selection().describe(device.topology())
     );
     println!(
         "circuit: {} logical qubits, {} swaps inserted, baseline ESP {:.4}",

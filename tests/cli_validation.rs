@@ -170,3 +170,33 @@ fn circuit_wider_than_a_state_vector_is_a_data_error() {
     assert!(stderr.contains("40 qubits"), "stderr was: {stderr}");
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn non_finite_gate_angle_is_a_data_error() {
+    let path = std::env::temp_dir().join(format!(
+        "edm_cli_validation_nan_angle_{}.qasm",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+         h q[0];\nrz(nan) q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n",
+    )
+    .expect("write qasm fixture");
+    let out = run_cli(&[
+        "run",
+        path.to_str().unwrap(),
+        "--shots",
+        "64",
+        "--threads",
+        "1",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(65), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 6") && stderr.contains("not finite"),
+        "stderr was: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+}

@@ -5,7 +5,8 @@ use edm_core::dist::{kl_divergence, symmetric_kl, KL_SMOOTHING};
 use edm_core::{metrics, ProbDist};
 use proptest::prelude::*;
 use qcir::Circuit;
-use qdevice::{presets, vf2, DeviceModel, Topology};
+use qdevice::mapper::{self, MapperSelection};
+use qdevice::{presets, DeviceModel, Topology};
 use qmap::{router, Layout, RoutingStrategy};
 use qsim::{ideal, StateVector};
 
@@ -124,7 +125,8 @@ proptest! {
         prop_assume!(!edges.is_empty());
         let pattern = Topology::new(6, &edges);
         let target = presets::melbourne14();
-        for phi in vf2::enumerate_subgraph_isomorphisms(&pattern, &target, 200) {
+        let set = mapper::enumerate_embeddings(&pattern, &target, 200, MapperSelection::Exhaustive);
+        for phi in set.embeddings {
             let mut seen = std::collections::BTreeSet::new();
             for &t in &phi {
                 prop_assert!(seen.insert(t));
