@@ -50,20 +50,23 @@
 //! replaying from |0…0⟩. The resumed amplitudes are the very floats the
 //! from-zero walk would reach there, so histograms are bit-identical.
 //!
-//! At low error rates most fired shots fire the same few events, so
-//! `run_into` runs each window of at most [`SLICE_SHOTS`] shots in two
-//! passes. The first draws every shot's events and uniforms in stream
-//! order, finishing clean shots at once and deferring fired ones. The
-//! second runs each distinct fired-event set once and samples all of its
-//! shots in one ascending sweep. No draw depends on the state, so the
-//! histogram is exactly what one trajectory per shot would give.
+//! At low error rates most fired shots fire the same few events, so shots
+//! run in two passes. The first (*draw*) draws every shot's events and
+//! uniforms in stream order, finishing clean shots at once and deferring
+//! fired ones. The second (*replay*) runs each distinct fired-event set
+//! once and samples all of its shots in one ascending sweep. No draw
+//! depends on the state, so the histogram is exactly what one trajectory
+//! per shot would give. `run_into` draws up to [`GROUP_SLICES`] windows and
+//! replays them together; [`NoisySimulator::run_batch`] draws each slice
+//! on its own and replays a plan's slices together, across jobs.
 
 use crate::complex::C64;
 use crate::counts::Counts;
 use crate::error::SimError;
 use crate::fuse::{self, FusedOp, Prim};
 use crate::ideal;
-use crate::parallel::{BatchJob, SLICE_SHOTS};
+use crate::parallel::{BatchJob, GROUP_SLICES, SLICE_SHOTS};
+use crate::rngstream;
 use crate::statevector::{
     apply_1q_kernel, apply_cx_kernel, apply_x_kernel, apply_y_kernel, apply_z_kernel, reset_zero,
     StateVector, MAX_QUBITS,
@@ -519,12 +522,22 @@ pub struct ShotWork {
     /// Fused ops those shots' trajectories skipped by resuming from a
     /// clean-prefix checkpoint, counted once per shot.
     pub skipped_ops: u64,
-    /// Trajectories actually run: the distinct fired-event sets among each
-    /// window's replayed shots (at most `replayed_shots`).
+    /// Trajectories actually run: the distinct fired-event sets among the
+    /// replayed shots of each run of at most [`GROUP_SLICES`] windows (at
+    /// most `replayed_shots`).
     pub distinct_trajectories: u64,
     /// Amplitude-kernel calls those trajectories made: fused ops, prims
     /// replayed inside a fused span a Pauli split, and the Paulis.
     pub kernel_ops: u64,
+}
+
+impl std::ops::AddAssign for ShotWork {
+    fn add_assign(&mut self, other: ShotWork) {
+        self.replayed_shots += other.replayed_shots;
+        self.skipped_ops += other.skipped_ops;
+        self.distinct_trajectories += other.distinct_trajectories;
+        self.kernel_ops += other.kernel_ops;
+    }
 }
 
 impl CompiledCircuit {
@@ -565,28 +578,30 @@ impl CompiledCircuit {
     /// the call's exact trajectory work (equally deterministic).
     ///
     /// One call is one slice of the batch schedule:
-    /// [`NoisySimulator::run_batch`] (and so [`NoisySimulator::run`]) runs
-    /// slice `s` of a job as `run_into(n, rngstream::fork(seed, s), ..)`.
-    /// For `shots <= SLICE_SHOTS`, `run_into(shots, fork(seed, 0), ..)`
-    /// therefore gives what `run(circuit, shots, seed)` returns.
+    /// [`NoisySimulator::run_batch`] (and so [`NoisySimulator::run`])
+    /// gives a job the histogram of `run_into(n, rngstream::fork(seed, s),
+    /// ..)` over its slices `s`, summed. For `shots <= SLICE_SHOTS`,
+    /// `run_into(shots, fork(seed, 0), ..)` therefore gives what
+    /// `run(circuit, shots, seed)` returns.
     ///
-    /// Shots run in windows of at most [`SLICE_SHOTS`], each in two passes.
-    /// Pass 1 walks the window in stream order and draws what a shot
-    /// draws, in this order: its events, one uniform (for the fired
-    /// trajectory's `|amp|²` sweep, or for the clean distribution), and one
-    /// readout uniform per measurement when readout error is on. A clean
-    /// shot is recorded at once. A fired one is deferred with its sweep
-    /// uniform and its readout flips (see `ReadoutFlips`). Pass 2 groups
-    /// the deferred shots by fired set, runs each set's trajectory once,
-    /// and samples the group's shots in ascending uniform order with one
-    /// sweep over its `|amp|²`. No draw depends on the state, and a set's
-    /// state does not depend on which shot drew it, so the histogram is
-    /// the one a trajectory per shot gives, bit for bit.
+    /// Shots run in two passes over runs of at most [`GROUP_SLICES`]
+    /// windows of [`SLICE_SHOTS`]. Pass 1 (*draw*) walks the run in stream
+    /// order and draws what a shot draws, in this order: its events, one
+    /// uniform (for the fired trajectory's `|amp|²` sweep, or for the clean
+    /// distribution), and one readout uniform per measurement when readout
+    /// error is on. A clean shot is recorded at once. A fired one is
+    /// deferred with its sweep uniform and its readout flips (see
+    /// `ReadoutFlips`). Pass 2 (*replay*) groups the deferred shots by
+    /// fired set, runs each set's trajectory once, and samples the group's
+    /// shots in ascending uniform order with one sweep over its `|amp|²`.
+    /// No draw depends on the state, and a set's state does not depend on
+    /// which shot drew it, so the histogram is the one a trajectory per
+    /// shot gives, bit for bit.
     ///
-    /// `scratch` provides the working buffers (state vector, the window's
+    /// `scratch` provides the working buffers (state vector, the run's
     /// fired events and deferred shots, dense histogram). Their size is
-    /// bounded by one window, not by `shots`. After the
-    /// buffers have grown to this plan's sizes — one warm window suffices —
+    /// bounded by one run of windows, not by `shots`. After the
+    /// buffers have grown to this plan's sizes — one warm call suffices —
     /// the shot loop performs no heap allocation: reuse the same scratch
     /// across calls to stay in steady state. Registers wider than 12
     /// classical bits fall back from the dense histogram to direct
@@ -623,7 +638,8 @@ impl CompiledCircuit {
     }
 
     /// The body of [`CompiledCircuit::run_into`], inlined into each
-    /// tier's copy.
+    /// tier's copy: draw a run of windows, then replay it, until `shots`
+    /// are done.
     #[inline(always)]
     fn run_shots(
         &self,
@@ -633,77 +649,143 @@ impl CompiledCircuit {
         counts: &mut Counts,
     ) -> ShotWork {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let dense = self.num_clbits <= DENSE_HIST_BITS;
-        let hist_len = 1usize << self.num_clbits.min(DENSE_HIST_BITS);
         let SimScratch {
             amps,
-            fired,
-            deferred,
+            draws,
+            pending,
             hist,
         } = scratch;
-        if dense && hist.len() < hist_len {
-            hist.resize(hist_len, 0);
-        }
-        let mut record = |key: u64| {
-            if dense {
-                hist[key as usize] += 1;
-            } else {
-                counts.record(key);
-            }
-        };
-
+        let mut out = Recorder::new(self.num_clbits, hist, counts);
         let mut work = ShotWork::default();
         let mut left = shots;
         while left > 0 {
-            let window = left.min(SLICE_SHOTS);
-            left -= window;
-
-            // Pass 1: every draw of the window, in stream order.
-            fired.clear();
-            deferred.clear();
-            for _ in 0..window {
-                let start = fired.len();
-                self.sample_events(&mut rng, fired);
-                if fired.len() == start {
-                    let basis = sample_cumulative(&self.clean_cum, &mut rng);
-                    record(self.readout_key(basis, self.draw_flips(&mut rng)));
-                    continue;
-                }
-                let u = rng.gen();
-                deferred.push(DeferredShot {
-                    start: start as u32,
-                    end: fired.len() as u32,
-                    u,
-                    flips: self.draw_flips(&mut rng),
-                });
-            }
-
-            // Pass 2: one trajectory per distinct fired set.
-            deferred.sort_unstable_by(|a, b| {
-                fired[a.fired()]
-                    .cmp(&fired[b.fired()])
-                    .then(a.u.total_cmp(&b.u))
-            });
-            for group in deferred.chunk_by(|a, b| fired[a.fired()] == fired[b.fired()]) {
-                let (skipped, kernel_ops) =
-                    self.run_trajectory_into(&fired[group[0].fired()], amps);
-                work.distinct_trajectories += 1;
-                work.replayed_shots += group.len() as u64;
-                work.skipped_ops += (skipped * group.len()) as u64;
-                work.kernel_ops += kernel_ops;
-                let mut sweep = SortedSweep::new(amps);
-                for shot in group {
-                    record(self.readout_key(sweep.sample(shot.u), shot.flips));
-                }
-            }
+            let run = left.min(GROUP_SLICES as u64 * SLICE_SHOTS);
+            left -= run;
+            draws.fired.clear();
+            draws.deferred.clear();
+            self.draw(&mut rng, run, draws, &mut out);
+            pending.clear();
+            draws.gather(0, pending);
+            work += self.replay(&[&draws.fired], pending, amps, |_, key| out.record(key));
         }
+        work
+    }
 
-        if dense {
-            for (outcome, slot) in hist[..hist_len].iter_mut().enumerate() {
-                if *slot > 0 {
-                    counts.record_n(outcome as u64, *slot);
-                    *slot = 0;
-                }
+    /// Pass 1 of one batch slice: draws `shots` shots seeded with `seed`.
+    /// Returns the slice's clean shots as a histogram and its fired shots
+    /// sorted by set key.
+    pub(crate) fn draw_slice(
+        &self,
+        shots: u64,
+        seed: u64,
+        scratch: &mut SimScratch,
+    ) -> (Counts, Deferred) {
+        let mut counts = Counts::new(self.num_clbits);
+        let mut draws = Draws::default();
+        let job = DrawSlice {
+            plan: self,
+            shots,
+            seed,
+            draws: &mut draws,
+            hist: &mut scratch.hist,
+            counts: &mut counts,
+        };
+        tier::dispatch(Tier::detected(), job);
+        let mut sorted = Vec::with_capacity(draws.deferred.len());
+        draws.gather(0, &mut sorted);
+        sorted.sort_unstable_by_key(|p| p.key);
+        let deferred = Deferred {
+            fired: draws.fired,
+            shots: sorted,
+        };
+        (counts, deferred)
+    }
+
+    /// Pass 2 over the fired shots of `slices` (one plan's) whose set key
+    /// falls in `bucket`. Returns each shot's `(slice, outcome)`, sorted,
+    /// and the exact work done.
+    pub(crate) fn replay_slices(
+        &self,
+        slices: &[&Deferred],
+        bucket: Bucket,
+        scratch: &mut SimScratch,
+    ) -> (Vec<(u32, u64)>, ShotWork) {
+        let mut outcomes = Vec::new();
+        let job = Replay {
+            plan: self,
+            slices,
+            bucket,
+            scratch,
+            outcomes: &mut outcomes,
+        };
+        let work = tier::dispatch(Tier::detected(), job);
+        outcomes.sort_unstable();
+        (outcomes, work)
+    }
+
+    /// Pass 1: draws `shots` shots from `rng` in stream order. A clean
+    /// shot is recorded into `clean` at once; a fired one is appended to
+    /// `draws` with its Paulis, set key, sweep uniform and readout flips.
+    #[inline(always)]
+    fn draw(&self, rng: &mut ChaCha8Rng, shots: u64, draws: &mut Draws, clean: &mut Recorder<'_>) {
+        for _ in 0..shots {
+            let start = draws.fired.len();
+            self.sample_events(rng, &mut draws.fired);
+            if draws.fired.len() == start {
+                let basis = sample_cumulative(&self.clean_cum, rng);
+                clean.record(self.readout_key(basis, self.draw_flips(rng)));
+                continue;
+            }
+            // Keeps every offset into `fired` a valid `u32` (2^32 Paulis
+            // would fill 32 GiB first).
+            assert!(
+                draws.fired.len() <= u32::MAX as usize,
+                "fired Paulis overflow u32 offsets"
+            );
+            let u = rng.gen();
+            draws.deferred.push(DeferredShot {
+                u,
+                flips: self.draw_flips(rng),
+                start: start as u32,
+                key: set_key(&draws.fired[start..]),
+            });
+        }
+    }
+
+    /// Pass 2: sorts `pending` by (set, `u`), runs one trajectory per
+    /// distinct set and samples its shots with one ascending sweep,
+    /// passing each shot's slice and outcome to `record`. Slice `s`'s
+    /// fired Paulis are `fired[s]`.
+    #[inline(always)]
+    fn replay(
+        &self,
+        fired: &[&[FiredPauli]],
+        pending: &mut [Pending],
+        amps: &mut Vec<C64>,
+        mut record: impl FnMut(u32, u64),
+    ) -> ShotWork {
+        let fired = |d: &Pending| &fired[d.slice as usize][d.fired()];
+        // The key orders distinct sets cheaply; equal keys fall back to
+        // the sets themselves, so equal sets end up adjacent.
+        pending.sort_unstable_by(|a, b| {
+            a.key
+                .cmp(&b.key)
+                .then_with(|| fired(a).cmp(fired(b)))
+                .then(a.u.total_cmp(&b.u))
+        });
+        let mut work = ShotWork::default();
+        for group in pending.chunk_by(|a, b| a.key == b.key && fired(a) == fired(b)) {
+            let (skipped, kernel_ops) = self.run_trajectory_into(fired(&group[0]), amps);
+            work.distinct_trajectories += 1;
+            work.replayed_shots += group.len() as u64;
+            work.skipped_ops += (skipped * group.len()) as u64;
+            work.kernel_ops += kernel_ops;
+            let mut sweep = SortedSweep::new(amps);
+            for shot in group {
+                record(
+                    shot.slice,
+                    self.readout_key(sweep.sample(shot.u), shot.flips),
+                );
             }
         }
         work
@@ -772,7 +854,7 @@ impl CompiledCircuit {
             for t in terms {
                 fired.push(FiredPauli {
                     step: site.step,
-                    bit: t.bit,
+                    qubit: t.qubit,
                     pauli: t.pauli,
                 });
             }
@@ -878,19 +960,74 @@ impl Tiered for RunInto<'_> {
     }
 }
 
+/// One [`CompiledCircuit::draw_slice`] call, as a tiered job.
+struct DrawSlice<'a> {
+    plan: &'a CompiledCircuit,
+    shots: u64,
+    seed: u64,
+    draws: &'a mut Draws,
+    hist: &'a mut Vec<u64>,
+    counts: &'a mut Counts,
+}
+
+impl Tiered for DrawSlice<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut clean = Recorder::new(self.plan.num_clbits, self.hist, self.counts);
+        self.plan.draw(&mut rng, self.shots, self.draws, &mut clean);
+    }
+}
+
+/// One [`CompiledCircuit::replay_slices`] call, as a tiered job.
+struct Replay<'a> {
+    plan: &'a CompiledCircuit,
+    slices: &'a [&'a Deferred],
+    bucket: Bucket,
+    scratch: &'a mut SimScratch,
+    outcomes: &'a mut Vec<(u32, u64)>,
+}
+
+impl Tiered for Replay<'_> {
+    type Output = ShotWork;
+
+    #[inline(always)]
+    fn run(self) -> ShotWork {
+        let SimScratch { amps, pending, .. } = self.scratch;
+        pending.clear();
+        for (s, slice) in self.slices.iter().enumerate() {
+            let shots = &slice.shots;
+            // Sorted by key, so a bucket's shots are one run.
+            let start = shots.partition_point(|p| self.bucket.index_of(p.key) < self.bucket.index);
+            let end = shots.partition_point(|p| self.bucket.index_of(p.key) <= self.bucket.index);
+            pending.extend(shots[start..end].iter().map(|&p| Pending {
+                slice: s as u32,
+                ..p
+            }));
+        }
+        let fired: Vec<&[FiredPauli]> = self.slices.iter().map(|s| &s.fired[..]).collect();
+        self.outcomes.reserve(pending.len());
+        self.plan.replay(&fired, pending, amps, |slice, key| {
+            self.outcomes.push((slice, key))
+        })
+    }
+}
+
 /// Reusable per-thread working buffers for [`CompiledCircuit::run_into`].
 ///
-/// Holds the trajectory state vector, one window's fired events and
-/// deferred shots, and the dense outcome histogram. Buffers
-/// only ever grow, and no further than one window needs; once the first
-/// window has warmed them for a given plan size, the shot loop allocates
-/// nothing. One scratch serves any sequence of plans (workers keep a
-/// thread-local instance across slices and batches).
+/// Holds the trajectory state vector, one run of windows' fired events
+/// and deferred shots, and the dense outcome histogram. Buffers
+/// only ever grow, and no further than one run of windows needs; once a
+/// first call has warmed them for a given plan size, the shot loop
+/// allocates nothing. One scratch serves any sequence of plans (workers
+/// keep a thread-local instance across slices and batches).
 #[derive(Debug, Default)]
 pub struct SimScratch {
     amps: Vec<C64>,
-    fired: Vec<FiredPauli>,
-    deferred: Vec<DeferredShot>,
+    draws: Draws,
+    pending: Vec<Pending>,
     hist: Vec<u64>,
 }
 
@@ -901,20 +1038,161 @@ impl SimScratch {
     }
 }
 
-/// A fired shot of the current window, waiting for its group's trajectory.
+/// Pass 1's output for one slice (or one run of `run_into` windows): the
+/// fired shots it deferred and their Paulis, in draw order.
+#[derive(Debug, Default)]
+struct Draws {
+    fired: Vec<FiredPauli>,
+    deferred: Vec<DeferredShot>,
+}
+
+impl Draws {
+    /// Appends this slice's deferred shots to `pending` as replay shots of
+    /// slice `slice`.
+    fn gather(&self, slice: u32, pending: &mut Vec<Pending>) {
+        let ends = self.deferred.iter().skip(1).map(|next| next.start);
+        let ends = ends.chain([self.fired.len() as u32]);
+        pending.extend(self.deferred.iter().zip(ends).map(|(d, end)| Pending {
+            key: d.key,
+            slice,
+            start: d.start,
+            end,
+            u: d.u,
+            flips: d.flips,
+        }));
+    }
+}
+
+/// One batch slice's fired shots, sorted by set key, and their Paulis.
+#[derive(Debug, Default)]
+pub(crate) struct Deferred {
+    fired: Vec<FiredPauli>,
+    shots: Vec<Pending>,
+}
+
+impl Deferred {
+    /// How many fired shots the slice deferred.
+    pub(crate) fn len(&self) -> usize {
+        self.shots.len()
+    }
+}
+
+/// One of `of` disjoint ranges of set keys. A plan's replay splits into
+/// work items by bucket: every fired set falls in exactly one, so the
+/// trajectories run do not depend on how many buckets there are.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bucket {
+    index: u64,
+    of: u64,
+}
+
+impl Bucket {
+    /// Bucket `index` of `of` (`index < of <= 2^32`).
+    pub(crate) fn new(index: u64, of: u64) -> Self {
+        debug_assert!(index < of && of <= 1 << 32);
+        Bucket { index, of }
+    }
+
+    /// The bucket `key` falls in: the key scaled to `0..of`, so it never
+    /// decreases as the key grows.
+    fn index_of(self, key: u32) -> u64 {
+        (u64::from(key) * self.of) >> 32
+    }
+}
+
+/// A fired shot as pass 1 keeps it (32 bytes). Its fired Paulis run from
+/// `start` to the next deferred shot's `start`, or to the end of the
+/// buffer: only fired shots append Paulis.
 #[derive(Debug, Clone, Copy)]
 struct DeferredShot {
-    /// Its fired Paulis are `fired[start..end]` of the window's buffer.
+    /// The uniform its trajectory's `|amp|²` sweep samples with.
+    u: f64,
+    flips: ReadoutFlips,
+    start: u32,
+    /// [`set_key`] of its fired Paulis.
+    key: u32,
+}
+
+/// A deferred shot gathered for replay, with its slice and fired range.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    key: u32,
+    /// Its slice's index among the slices replayed together.
+    slice: u32,
+    /// Its fired Paulis are `fired[start..end]` of its slice's buffer.
     start: u32,
     end: u32,
-    /// The uniform its trajectory's `|amp|²` sweep samples with.
     u: f64,
     flips: ReadoutFlips,
 }
 
-impl DeferredShot {
+impl Pending {
     fn fired(&self) -> Range<usize> {
         self.start as usize..self.end as usize
+    }
+}
+
+/// A 32-bit hash of a fired set. Equal sets have equal keys, so a replay
+/// that splits shots by key never splits a set, and sorting by key first
+/// compares the sets themselves only where keys tie.
+#[inline(always)]
+fn set_key(fired: &[FiredPauli]) -> u32 {
+    let h = fired.iter().fold(0, |h, f| {
+        let term = u64::from(f.step) << 16 | u64::from(f.qubit) << 8 | f.pauli as u64;
+        rngstream::mix(h ^ term).wrapping_add(1)
+    });
+    (h >> 32) as u32
+}
+
+/// Records outcomes into `counts`: through a dense histogram in `hist`
+/// when the register has at most [`DENSE_HIST_BITS`] bits, drained into
+/// `counts` when the recorder drops, else straight into `counts`.
+struct Recorder<'a> {
+    /// Empty when the register is too wide.
+    hist: &'a mut [u64],
+    counts: &'a mut Counts,
+}
+
+impl<'a> Recorder<'a> {
+    fn new(num_clbits: u32, hist: &'a mut Vec<u64>, counts: &'a mut Counts) -> Self {
+        let len = if num_clbits <= DENSE_HIST_BITS {
+            1 << num_clbits
+        } else {
+            0
+        };
+        if hist.len() < len {
+            hist.resize(len, 0);
+        }
+        Recorder {
+            hist: &mut hist[..len],
+            counts,
+        }
+    }
+
+    #[inline(always)]
+    fn record(&mut self, key: u64) {
+        if self.hist.is_empty() {
+            self.counts.record(key);
+        } else {
+            self.hist[key as usize] += 1;
+        }
+    }
+}
+
+impl Drop for Recorder<'_> {
+    /// Drains the dense histogram into `counts`, leaving it zeroed for the
+    /// next pass. While unwinding it only zeroes it: the counts are
+    /// discarded then, and a drop must not panic.
+    fn drop(&mut self) {
+        let unwinding = std::thread::panicking();
+        for (outcome, slot) in self.hist.iter_mut().enumerate() {
+            if *slot > 0 {
+                if !unwinding {
+                    self.counts.record_n(outcome as u64, *slot);
+                }
+                *slot = 0;
+            }
+        }
     }
 }
 
@@ -984,9 +1262,9 @@ fn apply_prim(amps: &mut [C64], op: &fuse::PrimOp) {
 #[inline(always)]
 fn apply_pauli(amps: &mut [C64], fp: FiredPauli) {
     match fp.pauli {
-        Pauli::X => apply_x_kernel(amps, fp.bit),
-        Pauli::Y => apply_y_kernel(amps, fp.bit),
-        Pauli::Z => apply_z_kernel(amps, fp.bit),
+        Pauli::X => apply_x_kernel(amps, 1 << fp.qubit),
+        Pauli::Y => apply_y_kernel(amps, 1 << fp.qubit),
+        Pauli::Z => apply_z_kernel(amps, 1 << fp.qubit),
     }
 }
 
@@ -1007,10 +1285,10 @@ struct OutcomeDesc {
     len: u8,
 }
 
-/// A single Pauli factor, with the qubit pre-lowered to its index mask.
+/// A single Pauli factor on a dense qubit.
 #[derive(Debug, Clone, Copy)]
 struct PauliTerm {
-    bit: usize,
+    qubit: u8,
     pauli: Pauli,
 }
 
@@ -1023,12 +1301,12 @@ struct MeasSite {
     p10: f64,
 }
 
-/// A Pauli drawn for this shot, pre-expanded to (step, qubit mask, kind).
-/// Ordered so that a window's fired sets can be sorted into groups.
+/// A Pauli drawn for this shot: (step, dense qubit, kind), 8 bytes.
+/// Ordered so that fired sets can be sorted into groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct FiredPauli {
     step: u32,
-    bit: usize,
+    qubit: u8,
     pauli: Pauli,
 }
 
@@ -1055,7 +1333,7 @@ impl EventLut {
             let start = self.pauli_terms.len() as u32;
             for (q, pauli) in outcome {
                 self.pauli_terms.push(PauliTerm {
-                    bit: 1usize << q.index(),
+                    qubit: q.index() as u8,
                     pauli,
                 });
             }
@@ -1599,7 +1877,7 @@ mod checkpoint {
     fn pauli(step: u32, qubit: u32, pauli: Pauli) -> FiredPauli {
         FiredPauli {
             step,
-            bit: 1 << qubit,
+            qubit: qubit as u8,
             pauli,
         }
     }
@@ -1802,20 +2080,31 @@ mod dedup {
     };
 
     /// The per-shot loop: draws, one trajectory per fired shot, one
-    /// `sample_kernel` sweep and the readout flips, shot by shot.
+    /// `sample_kernel` sweep and the readout flips, shot by shot. Its
+    /// `distinct_trajectories` and `kernel_ops` count each distinct fired
+    /// set once per run of [`GROUP_SLICES`] windows.
     fn per_shot(plan: &CompiledCircuit, shots: u64, seed: u64) -> (Counts, ShotWork) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut counts = Counts::new(plan.num_clbits());
         let (mut fired, mut amps) = (Vec::new(), Vec::new());
+        let mut seen = std::collections::BTreeSet::new();
         let mut work = ShotWork::default();
-        for _ in 0..shots {
+        for shot in 0..shots {
+            if shot % (GROUP_SLICES as u64 * SLICE_SHOTS) == 0 {
+                seen.clear();
+            }
             fired.clear();
             plan.sample_events(&mut rng, &mut fired);
             let basis = if fired.is_empty() {
                 sample_cumulative(&plan.clean_cum, &mut rng)
             } else {
+                let (skipped, kernel_ops) = plan.run_trajectory_into(&fired, &mut amps);
                 work.replayed_shots += 1;
-                work.skipped_ops += plan.run_trajectory_into(&fired, &mut amps).0 as u64;
+                work.skipped_ops += skipped as u64;
+                if seen.insert(fired.clone()) {
+                    work.distinct_trajectories += 1;
+                    work.kernel_ops += kernel_ops;
+                }
                 sample_kernel(&amps, &mut rng)
             };
             let mut key = 0u64;
@@ -1834,25 +2123,28 @@ mod dedup {
         (counts, work)
     }
 
-    /// Runs `plan` both ways with every shot count in [`SHOTS`] (sharing
+    /// Runs `plan` both ways with every shot count in `shots` (sharing
     /// one scratch, so nothing may leak between calls) and asserts equal
-    /// histograms and per-shot work. Returns whether any window ran fewer
-    /// trajectories than it had fired shots.
-    fn assert_matches_per_shot(plan: &CompiledCircuit, seed: u64) -> bool {
+    /// histograms and work: `run_into` must run exactly one trajectory per
+    /// distinct fired set of each run of windows. Returns whether any call
+    /// ran fewer trajectories than it had fired shots.
+    fn assert_matches_per_shot_at(plan: &CompiledCircuit, seed: u64, shots: &[u64]) -> bool {
         let mut scratch = SimScratch::new();
         let mut shared = false;
-        for &shots in SHOTS {
+        for &shots in shots {
             let (want, want_work) = per_shot(plan, shots, seed);
             let mut got = Counts::new(plan.num_clbits());
             let work = plan.run_into(shots, seed, &mut scratch, &mut got);
             assert_eq!(got, want, "{shots} shots, seed {seed}");
-            assert_eq!(work.replayed_shots, want_work.replayed_shots);
-            assert_eq!(work.skipped_ops, want_work.skipped_ops);
-            assert!(work.distinct_trajectories <= work.replayed_shots);
-            assert_eq!(work.distinct_trajectories == 0, work.replayed_shots == 0);
+            assert_eq!(work, want_work, "{shots} shots, seed {seed}");
             shared |= work.distinct_trajectories < work.replayed_shots;
         }
         shared
+    }
+
+    /// [`assert_matches_per_shot_at`] every shot count in [`SHOTS`].
+    fn assert_matches_per_shot(plan: &CompiledCircuit, seed: u64) -> bool {
+        assert_matches_per_shot_at(plan, seed, SHOTS)
     }
 
     /// Every channel set of the ablations, each with readout on and off.
@@ -1902,7 +2194,7 @@ mod dedup {
         }
         assert!(without_sites, "no plan without event sites");
         // Miri's few shots need not repeat a fired set.
-        assert!(shared || cfg!(miri), "no window shared a trajectory");
+        assert!(shared || cfg!(miri), "no call shared a trajectory");
     }
 
     #[test]
@@ -1915,6 +2207,22 @@ mod dedup {
             assert_eq!(bare.num_checkpoints(), 0);
             assert_matches_per_shot(&bare, case);
         }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of shots are too slow under Miri")]
+    fn calls_longer_than_one_run_replay_each_run_on_its_own() {
+        // One run of windows, one shot more, and two and a half runs: the
+        // first fired sets of a run are new trajectories even when an
+        // earlier run of the same call already ran them.
+        let run = GROUP_SLICES as u64 * SLICE_SHOTS;
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let plan = compile(&random_circuit(&mut rng, 3, 24));
+        assert!(assert_matches_per_shot_at(
+            &plan,
+            8,
+            &[run, run + 1, 5 * run / 2]
+        ));
     }
 
     #[test]
@@ -1932,7 +2240,7 @@ mod dedup {
                 .unwrap();
             assert!(plan.num_clbits() > DENSE_HIST_BITS);
             let shared = assert_matches_per_shot(&plan, 4);
-            assert!(shared || cfg!(miri), "no window shared a trajectory");
+            assert!(shared || cfg!(miri), "no call shared a trajectory");
         }
     }
 
@@ -2122,7 +2430,7 @@ mod tiers {
             for pauli in PAULIS {
                 ops.push(Op::Pauli(FiredPauli {
                     step: 0,
-                    bit: 1 << q,
+                    qubit: q as u8,
                     pauli,
                 }));
             }

@@ -26,7 +26,7 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Every input bit affects every output bit with probability ~1/2, so
 /// consecutive inputs produce statistically unrelated outputs.
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

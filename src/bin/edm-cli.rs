@@ -250,7 +250,7 @@ fn cmd_transpile(args: &[String]) -> Result<(), CliError> {
     );
     println!("initial layout: {}", out.initial_layout);
     println!("swaps inserted: {}", out.swap_count);
-    println!("compile-time ESP: {:.4}", out.esp);
+    println!("compile-time ESP: {:.4e}", out.esp);
     println!("\n{}", qasm::to_qasm(&out.physical));
     Ok(())
 }
@@ -536,7 +536,7 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
         transpiler.mapper_selection().describe(device.topology())
     );
     println!(
-        "circuit: {} logical qubits, {} swaps inserted, baseline ESP {:.4}",
+        "circuit: {} logical qubits, {} swaps inserted, baseline ESP {:.4e}",
         circuit.num_qubits(),
         out.swap_count,
         out.esp
@@ -548,7 +548,7 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
         }
     }
     for (i, m) in members.iter().enumerate() {
-        println!("member {i}: qubits {:?}  ESP {:.4}", m.qubits, m.esp);
+        println!("member {i}: qubits {:?}  ESP {:.4e}", m.qubits, m.esp);
     }
     Ok(())
 }

@@ -200,3 +200,46 @@ fn non_finite_gate_angle_is_a_data_error() {
     );
     assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
 }
+
+/// Every number printed after `label` on the lines of `stdout`.
+fn values_after<'a>(stdout: &'a str, label: &str) -> Vec<&'a str> {
+    stdout
+        .lines()
+        .filter_map(|line| line.split_once(label))
+        .map(|(_, rest)| rest.split_whitespace().next().unwrap_or(""))
+        .collect()
+}
+
+#[test]
+fn tiny_esp_values_print_without_rounding_to_zero() {
+    // qft-10 on eagle127 needs 171 SWAPs: every mapping's ESP is far
+    // below 1e-4, so a fixed four-decimal format would print 0.0000.
+    let out = run_cli(&["map", "--bench", "qft-10", "--device", "eagle127"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut printed = values_after(&stdout, "baseline ESP ");
+    printed.extend(values_after(&stdout, "  ESP "));
+
+    let path = std::env::temp_dir().join(format!(
+        "edm_cli_validation_tiny_esp_{}.qasm",
+        std::process::id()
+    ));
+    let qft = qbench::registry::scaling_by_name("qft-10").unwrap();
+    std::fs::write(&path, qcir::qasm::to_qasm(&qft)).expect("write qasm fixture");
+    let out = run_cli(&["transpile", path.to_str().unwrap(), "--device", "eagle127"]);
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{out:?}");
+    let transpiled = String::from_utf8_lossy(&out.stdout);
+    printed.extend(values_after(&transpiled, "compile-time ESP: "));
+
+    assert!(
+        printed.len() >= 3,
+        "baseline, a member and transpile: {printed:?}"
+    );
+    for text in printed {
+        let esp: f64 = text
+            .parse()
+            .unwrap_or_else(|_| panic!("not a number: {text}"));
+        assert!(esp > 0.0 && esp < 1e-4, "ESP printed as {text}");
+    }
+}
