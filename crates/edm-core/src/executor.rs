@@ -103,41 +103,4 @@ mod tests {
         let via_dyn = dyn_backend.execute_batch(&jobs, 2);
         assert_eq!(one[1].as_ref().unwrap(), via_dyn[1].as_ref().unwrap());
     }
-
-    #[test]
-    fn batch_path_matches_manually_compiled_slices() {
-        // Codifies the compiled-path contract: a batched job is exactly
-        // "compile once, then run each 1024-shot slice with a forked seed
-        // into one histogram". If the backend ever recompiled per slice or
-        // changed the slice seed schedule, ensembles would silently stop
-        // being reproducible against recorded experiments.
-        let device = DeviceModel::synthesize(presets::melbourne14(), 1);
-        let sim = NoisySimulator::from_device(&device);
-        let mut c = Circuit::new(2, 2);
-        c.h(0).cx(0, 1).measure_all();
-        let shots = 2500u64; // 1024 + 1024 + 452: uneven tail slice
-        let seed = 31u64;
-
-        let via_backend = Backend::execute_batch(&sim, &[BatchJob::new(&c, shots, seed)], 2);
-
-        let plan = sim.compile(&c).unwrap();
-        let mut scratch = qsim::SimScratch::new();
-        let mut expected = qsim::Counts::new(plan.num_clbits());
-        let mut remaining = shots;
-        let mut slice = 0u64;
-        while remaining > 0 {
-            let n = remaining.min(qsim::parallel::SLICE_SHOTS);
-            plan.run_into(
-                n,
-                qsim::rngstream::fork(seed, slice),
-                &mut scratch,
-                &mut expected,
-            );
-            remaining -= n;
-            slice += 1;
-        }
-        assert_eq!(via_backend[0].as_ref().unwrap(), &expected);
-        // `run` is the same one-job batch.
-        assert_eq!(sim.run(&c, shots, seed).unwrap(), expected);
-    }
 }

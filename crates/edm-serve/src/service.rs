@@ -331,7 +331,8 @@ impl<B: Backend> JobService<B> {
     ///
     /// # Errors
     ///
-    /// [`AdmitError::Invalid`] for a zero shot budget,
+    /// [`AdmitError::Invalid`] for a zero shot budget or one above
+    /// [`qsim::parallel::MAX_SHOTS`],
     /// [`AdmitError::QueueFull`] under backpressure. Rejected jobs get no
     /// id and leave no trace beyond the `rejected` counter.
     pub fn submit(&mut self, request: JobRequest) -> Result<u64, AdmitError> {
@@ -995,6 +996,26 @@ mod tests {
     }
 
     #[test]
+    fn oversized_shot_budget_is_rejected_and_the_next_job_completes() {
+        let device = DeviceModel::synthesize(presets::melbourne14(), 11);
+        let backend = NoisySimulator::from_device(&device);
+        let mut svc = JobService::new(
+            device.topology().clone(),
+            device.calibration(),
+            backend,
+            small_config(),
+        );
+        let err = svc.submit(request(ghz(3), u64::MAX, 5)).unwrap_err();
+        assert!(matches!(err, AdmitError::Invalid(_)));
+        assert!(err.to_string().contains("shots must be at most"), "{err}");
+        let id = svc.submit(request(ghz(3), 256, 6)).unwrap();
+        svc.process_all();
+        assert!(matches!(svc.poll(id), Some(JobState::Done(_))));
+        assert_eq!(svc.stats().rejected, 1);
+        assert_eq!(svc.stats().submitted, 1);
+    }
+
+    #[test]
     fn queue_backpressure_rejects_without_losing_admitted_jobs() {
         let device = DeviceModel::synthesize(presets::melbourne14(), 11);
         let backend = NoisySimulator::from_device(&device);
@@ -1233,6 +1254,69 @@ mod tests {
         assert_eq!(svc.attach_journal(&path).unwrap(), Vec::<u64>::new());
         assert_eq!(svc.poll(3), None);
         assert_eq!(svc.stats().recovered, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_replayed_oversized_job_fails_alone_and_is_journaled_failed() {
+        let dir = std::env::temp_dir().join(format!(
+            "edm-serve-oversized-replay-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.jsonl");
+        let _ = std::fs::remove_file(&path);
+
+        // A journal holding a budget admission now refuses (written by an
+        // older build, or by hand) next to an ordinary job.
+        {
+            let (mut journal, _) = Journal::open(&path).unwrap();
+            for (id, shots) in [(1, u64::MAX), (2, 512)] {
+                let entry = JournalEntry::Accepted {
+                    id,
+                    trace_id: 100 + id,
+                    circuit: ghz(3),
+                    shots,
+                    seed: 7,
+                    priority: Priority::Normal,
+                };
+                journal.append(&entry).unwrap();
+            }
+        }
+
+        let device = DeviceModel::synthesize(presets::melbourne14(), 11);
+        let start = || {
+            JobService::new(
+                device.topology().clone(),
+                device.calibration(),
+                NoisySimulator::from_device(&device),
+                small_config(),
+            )
+        };
+        let mut svc = start();
+        assert_eq!(svc.attach_journal(&path).unwrap(), vec![1, 2]);
+        svc.process_all();
+        match svc.poll(1) {
+            Some(JobState::Failed(reason)) => {
+                assert!(
+                    reason.contains("at most 1073741824 are supported"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        assert!(matches!(svc.poll(2), Some(JobState::Done(_))));
+        let (_, entries) = Journal::open(&path).unwrap();
+        assert!(
+            entries
+                .iter()
+                .any(|e| matches!(e, JournalEntry::Failed { id: 1 })),
+            "the oversized job must be journaled Failed: {entries:?}"
+        );
+
+        // The next start recovers nothing.
+        assert_eq!(start().attach_journal(&path).unwrap(), Vec::<u64>::new());
         std::fs::remove_file(&path).unwrap();
     }
 

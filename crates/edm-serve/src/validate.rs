@@ -4,6 +4,7 @@
 //! must reject the same degenerate values with the same wording, at the
 //! boundary, instead of panicking somewhere inside the pipeline.
 
+use qsim::parallel::MAX_SHOTS;
 use std::fmt;
 
 /// A rejected request parameter.
@@ -11,6 +12,8 @@ use std::fmt;
 pub enum ValidationError {
     /// `shots` was zero.
     ZeroShots,
+    /// `shots` exceeded [`MAX_SHOTS`].
+    TooManyShots(u64),
     /// `threads` was explicitly zero.
     ZeroThreads,
 }
@@ -20,6 +23,9 @@ impl fmt::Display for ValidationError {
         match self {
             ValidationError::ZeroShots => {
                 write!(f, "shots must be at least 1 (got 0)")
+            }
+            ValidationError::TooManyShots(shots) => {
+                write!(f, "shots must be at most {MAX_SHOTS} (got {shots})")
             }
             ValidationError::ZeroThreads => {
                 write!(
@@ -33,11 +39,13 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Validates a shot budget: zero shots can never produce a histogram.
+/// Validates a shot budget: zero shots can never produce a histogram, and
+/// the simulator fails a job above [`MAX_SHOTS`] anyway.
 ///
 /// # Errors
 ///
-/// Returns [`ValidationError::ZeroShots`] when `shots == 0`.
+/// Returns [`ValidationError::ZeroShots`] when `shots == 0` and
+/// [`ValidationError::TooManyShots`] when `shots > MAX_SHOTS`.
 ///
 /// # Examples
 ///
@@ -45,12 +53,13 @@ impl std::error::Error for ValidationError {}
 /// use edm_serve::validate;
 /// assert_eq!(validate::shots(4096), Ok(4096));
 /// assert!(validate::shots(0).is_err());
+/// assert!(validate::shots(u64::MAX).is_err());
 /// ```
 pub fn shots(shots: u64) -> Result<u64, ValidationError> {
-    if shots == 0 {
-        Err(ValidationError::ZeroShots)
-    } else {
-        Ok(shots)
+    match shots {
+        0 => Err(ValidationError::ZeroShots),
+        n if n > MAX_SHOTS => Err(ValidationError::TooManyShots(n)),
+        n => Ok(n),
     }
 }
 
@@ -82,11 +91,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shots_rejects_only_zero() {
+    fn shots_rejects_zero_and_budgets_above_the_simulator_bound() {
         assert_eq!(shots(1), Ok(1));
-        assert_eq!(shots(u64::MAX), Ok(u64::MAX));
+        assert_eq!(shots(MAX_SHOTS), Ok(MAX_SHOTS));
         assert_eq!(shots(0), Err(ValidationError::ZeroShots));
         assert!(ValidationError::ZeroShots.to_string().contains("got 0"));
+        assert_eq!(
+            shots(MAX_SHOTS + 1),
+            Err(ValidationError::TooManyShots(MAX_SHOTS + 1))
+        );
+        let too_many = shots(u64::MAX).unwrap_err().to_string();
+        assert!(
+            too_many.contains("at most 1073741824") && too_many.contains("18446744073709551615"),
+            "{too_many}"
+        );
     }
 
     #[test]

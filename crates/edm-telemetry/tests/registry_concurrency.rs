@@ -23,7 +23,7 @@ fn concurrent_increments_from_the_worker_pool_sum_exactly() {
         i
     });
 
-    assert_eq!(echoed.len(), 1_000);
+    assert_eq!(echoed, items.into_iter().map(Ok).collect::<Vec<_>>());
     let snapshot = registry.snapshot();
     let MetricSnapshot::Counter { value, .. } = &snapshot[0] else {
         panic!("expected the counter first, got {snapshot:?}");

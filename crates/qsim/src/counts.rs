@@ -163,21 +163,6 @@ impl Counts {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .map(|(&k, _)| k)
     }
-
-    /// Converts to a normalized probability map.
-    pub fn to_probabilities(&self) -> BTreeMap<u64, f64> {
-        let total = self.shots.max(1) as f64;
-        self.counts
-            .iter()
-            .map(|(&k, &v)| (k, v as f64 / total))
-            .collect()
-    }
-
-    /// Renders `outcome` as a bitstring of width [`Counts::num_clbits`],
-    /// highest classical bit leftmost.
-    pub fn format_outcome(&self, outcome: u64) -> String {
-        format_bitstring(outcome, self.num_clbits)
-    }
 }
 
 impl fmt::Display for Counts {
@@ -322,14 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn probabilities_sum_to_one() {
-        let mut c = Counts::new(3);
-        c.extend([1, 2, 3, 3, 7, 0]);
-        let total: f64 = c.to_probabilities().values().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn bitstring_roundtrip() {
         for v in [0u64, 1, 0b101, 0b110011] {
             let s = format_bitstring(v, 6);
@@ -338,12 +315,6 @@ mod tests {
         }
         assert_eq!(parse_bitstring(""), None);
         assert_eq!(parse_bitstring("01a"), None);
-    }
-
-    #[test]
-    fn format_outcome_uses_width() {
-        let c = Counts::new(5);
-        assert_eq!(c.format_outcome(0b11), "00011");
     }
 
     #[test]

@@ -48,6 +48,12 @@ pub enum SimError {
         /// Qubits the circuit acts on.
         qubits: u32,
     },
+    /// The job asks for more shots than one job may run
+    /// ([`MAX_SHOTS`](crate::parallel::MAX_SHOTS)).
+    TooManyShots {
+        /// Shots the job asked for.
+        shots: u64,
+    },
     /// The execution backend was temporarily unable to run the job (queue
     /// contention, lost link, worker restart).
     ///
@@ -123,6 +129,13 @@ impl fmt::Display for SimError {
                     crate::statevector::MAX_QUBITS
                 )
             }
+            SimError::TooManyShots { shots } => {
+                write!(
+                    f,
+                    "job asks for {shots} shots but at most {} are supported",
+                    crate::parallel::MAX_SHOTS
+                )
+            }
             SimError::BackendUnavailable { reason } => {
                 write!(
                     f,
@@ -164,6 +177,11 @@ mod tests {
         .contains("20"));
         let wide = SimError::TooWideToSimulate { qubits: 40 }.to_string();
         assert!(wide.contains("40") && wide.contains("26"), "{wide}");
+        let shots = SimError::TooManyShots { shots: 1 << 31 }.to_string();
+        assert!(
+            shots.contains("2147483648") && shots.contains("1073741824"),
+            "{shots}"
+        );
     }
 
     #[test]
@@ -189,6 +207,7 @@ mod tests {
                 circuit: 20,
                 device: 14,
             },
+            SimError::TooManyShots { shots: u64::MAX },
             SimError::ExecutionPanicked {
                 detail: "index out of bounds".into(),
             },

@@ -64,5 +64,5 @@ pub mod verify;
 pub use counts::Counts;
 pub use density::{DensityMatrix, DensitySimulator};
 pub use error::SimError;
-pub use noise::{CompiledCircuit, NoisySimulator, ShotWork, SimOptions, SimScratch};
+pub use noise::{CompiledCircuit, NoisySimulator, SimOptions};
 pub use statevector::{StateVector, MAX_QUBITS};

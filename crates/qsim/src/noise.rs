@@ -27,10 +27,8 @@
 //! gates fused ([`crate::fuse`]), stochastic error sites flattened into
 //! lookup tables with a precomputed survival-product table, readout flip
 //! probabilities baked per measurement, and the coherent-only ("clean")
-//! outcome distribution cached. [`CompiledCircuit::run_into`] then executes
-//! shots against reusable [`SimScratch`] buffers: after the first window of
-//! shots has warmed the buffers, the steady-state shot loop performs **zero
-//! heap allocations** (verified by a counting-allocator test).
+//! outcome distribution cached. [`NoisySimulator::run_batch`] then runs
+//! every job's shots against the shared plan, slice by slice.
 //!
 //! Per shot, the fired-event set is drawn by *skip sampling* over the
 //! survival table: one uniform draw decides how far the scan jumps to the
@@ -51,25 +49,24 @@
 //! from-zero walk would reach there, so histograms are bit-identical.
 //!
 //! At low error rates most fired shots fire the same few events, so shots
-//! run in two passes. The first (*draw*) draws every shot's events and
-//! uniforms in stream order, finishing clean shots at once and deferring
-//! fired ones. The second (*replay*) runs each distinct fired-event set
-//! once and samples all of its shots in one ascending sweep. No draw
-//! depends on the state, so the histogram is exactly what one trajectory
-//! per shot would give. `run_into` draws up to [`GROUP_SLICES`] windows and
-//! replays them together; [`NoisySimulator::run_batch`] draws each slice
-//! on its own and replays a plan's slices together, across jobs.
+//! run in two passes. The first (*draw*, one slice at a time) draws every
+//! shot's events and uniforms in stream order, finishing clean shots at
+//! once and deferring fired ones. The second (*replay*) runs each distinct
+//! fired-event set of a group of a plan's slices once, across jobs, and
+//! samples all of its shots in one ascending sweep. No draw depends on the
+//! state, so the histogram is exactly what one trajectory per shot would
+//! give.
 
 use crate::complex::C64;
 use crate::counts::Counts;
 use crate::error::SimError;
 use crate::fuse::{self, FusedOp, Prim};
 use crate::ideal;
-use crate::parallel::{BatchJob, GROUP_SLICES, SLICE_SHOTS};
+use crate::parallel::BatchJob;
 use crate::rngstream;
 use crate::statevector::{
     apply_1q_kernel, apply_cx_kernel, apply_x_kernel, apply_y_kernel, apply_z_kernel, reset_zero,
-    StateVector, MAX_QUBITS,
+    MAX_QUBITS,
 };
 use crate::tier::{self, Tier, Tiered};
 use qcir::{Circuit, Gate, Qubit};
@@ -221,7 +218,8 @@ impl<'a> NoisySimulator<'a> {
     /// histogram. Deterministic for a fixed `(circuit, shots, seed)`.
     ///
     /// A one-job [`NoisySimulator::run_batch`] at one thread, run on the
-    /// calling thread: the budget is cut into [`SLICE_SHOTS`]-shot slices,
+    /// calling thread: the budget is cut into
+    /// [`SLICE_SHOTS`](crate::parallel::SLICE_SHOTS)-shot slices,
     /// slice `s` seeded with `rngstream::fork(seed, s)`. So the histogram
     /// is the one `run_batch` returns for the same job at every thread
     /// count — the repository has one seed schedule (DESIGN.md §7). The
@@ -243,6 +241,8 @@ impl<'a> NoisySimulator<'a> {
     /// - [`SimError::UncoupledQubits`] for a CX on a non-edge.
     /// - [`SimError::MidCircuitMeasurement`] / [`SimError::ClbitReused`] for
     ///   invalid measurement structure.
+    /// - [`SimError::TooManyShots`] if `shots` exceeds
+    ///   [`MAX_SHOTS`](crate::parallel::MAX_SHOTS).
     pub fn run(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
         let job =
             BatchJob::new(circuit, shots, seed).traced(edm_telemetry::trace::current_context());
@@ -260,7 +260,8 @@ impl<'a> NoisySimulator<'a> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`NoisySimulator::run`].
+    /// Same conditions as [`NoisySimulator::run`], but for
+    /// [`SimError::TooManyShots`]: a plan has no shot budget.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, SimError> {
         if circuit.num_qubits() > self.topology.num_qubits() {
             return Err(SimError::TooManyQubits {
@@ -449,7 +450,7 @@ fn unary(step: u32, gate: Gate) -> Prim {
 ///
 /// Owns all of its data (no borrows), so one compiled plan can be shared
 /// by every slice of a parallel run. Produced by
-/// [`NoisySimulator::compile`]; executed by [`CompiledCircuit::run_into`].
+/// [`NoisySimulator::compile`]; executed by [`NoisySimulator::run_batch`].
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     num_dense_qubits: u32,
@@ -510,25 +511,24 @@ fn checkpoint_stride(ops: usize, qubits: u32) -> Option<usize> {
     Some(sqrt.max(ops.div_ceil(max_checkpoints + 1)).max(1))
 }
 
-/// Exact work done by one [`CompiledCircuit::run_into`] call.
+/// Exact work done by one [`CompiledCircuit::replay_slices`] call.
 ///
-/// All four counts are deterministic functions of `(plan, shots, seed)`,
-/// so they sum to the same totals for any thread count and any SIMD tier.
+/// All four counts are deterministic functions of the slices' draws, so
+/// they sum to the same totals for any thread count and any SIMD tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShotWork {
+pub(crate) struct ShotWork {
     /// Shots that took a trajectory's state (at least one event fired)
     /// instead of sampling the cached clean distribution.
-    pub replayed_shots: u64,
+    pub(crate) replayed_shots: u64,
     /// Fused ops those shots' trajectories skipped by resuming from a
     /// clean-prefix checkpoint, counted once per shot.
-    pub skipped_ops: u64,
+    pub(crate) skipped_ops: u64,
     /// Trajectories actually run: the distinct fired-event sets among the
-    /// replayed shots of each run of at most [`GROUP_SLICES`] windows (at
-    /// most `replayed_shots`).
-    pub distinct_trajectories: u64,
+    /// replayed shots (at most `replayed_shots`).
+    pub(crate) distinct_trajectories: u64,
     /// Amplitude-kernel calls those trajectories made: fused ops, prims
     /// replayed inside a fused span a Pauli split, and the Paulis.
-    pub kernel_ops: u64,
+    pub(crate) kernel_ops: u64,
 }
 
 impl std::ops::AddAssign for ShotWork {
@@ -567,145 +567,48 @@ impl CompiledCircuit {
         self.prims.len()
     }
 
-    /// Number of clean-prefix checkpoints fired-error shots can resume
-    /// from (zero for plans too short or too wide to keep any).
-    pub fn num_checkpoints(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Runs `shots` trials with the given seed, accumulating outcomes into
-    /// `counts`. Deterministic for a fixed `(plan, shots, seed)`. Returns
-    /// the call's exact trajectory work (equally deterministic).
+    /// Pass 1 of one batch slice, compiled for `tier`: draws `shots` shots
+    /// seeded with `seed`, in stream order. Returns the slice's clean shots
+    /// as a histogram and its fired shots sorted by set key.
     ///
-    /// One call is one slice of the batch schedule:
-    /// [`NoisySimulator::run_batch`] (and so [`NoisySimulator::run`])
-    /// gives a job the histogram of `run_into(n, rngstream::fork(seed, s),
-    /// ..)` over its slices `s`, summed. For `shots <= SLICE_SHOTS`,
-    /// `run_into(shots, fork(seed, 0), ..)` therefore gives what
-    /// `run(circuit, shots, seed)` returns.
-    ///
-    /// Shots run in two passes over runs of at most [`GROUP_SLICES`]
-    /// windows of [`SLICE_SHOTS`]. Pass 1 (*draw*) walks the run in stream
-    /// order and draws what a shot draws, in this order: its events, one
-    /// uniform (for the fired trajectory's `|amp|²` sweep, or for the clean
-    /// distribution), and one readout uniform per measurement when readout
-    /// error is on. A clean shot is recorded at once. A fired one is
-    /// deferred with its sweep uniform and its readout flips (see
-    /// `ReadoutFlips`). Pass 2 (*replay*) groups the deferred shots by
-    /// fired set, runs each set's trajectory once, and samples the group's
-    /// shots in ascending uniform order with one sweep over its `|amp|²`.
-    /// No draw depends on the state, and a set's state does not depend on
-    /// which shot drew it, so the histogram is the one a trajectory per
-    /// shot gives, bit for bit.
-    ///
-    /// `scratch` provides the working buffers (state vector, the run's
-    /// fired events and deferred shots, dense histogram). Their size is
-    /// bounded by one run of windows, not by `shots`. After the
-    /// buffers have grown to this plan's sizes — one warm call suffices —
-    /// the shot loop performs no heap allocation: reuse the same scratch
-    /// across calls to stay in steady state. Registers wider than 12
-    /// classical bits fall back from the dense histogram to direct
-    /// `Counts` recording, which may allocate per newly seen outcome.
-    ///
-    /// The shot loop runs compiled for the widest SIMD tier the CPU
-    /// supports (portable, AVX2 or AVX-512F), picked once per call; every
-    /// tier returns the same histogram and work, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` was created with a different classical-register
-    /// width than the compiled circuit's.
-    pub fn run_into(
-        &self,
-        shots: u64,
-        seed: u64,
-        scratch: &mut SimScratch,
-        counts: &mut Counts,
-    ) -> ShotWork {
-        assert_eq!(
-            counts.num_clbits(),
-            self.num_clbits,
-            "counts width must match the compiled circuit"
-        );
-        let job = RunInto {
-            plan: self,
-            shots,
-            seed,
-            scratch,
-            counts,
-        };
-        tier::dispatch(Tier::detected(), job)
-    }
-
-    /// The body of [`CompiledCircuit::run_into`], inlined into each
-    /// tier's copy: draw a run of windows, then replay it, until `shots`
-    /// are done.
-    #[inline(always)]
-    fn run_shots(
-        &self,
-        shots: u64,
-        seed: u64,
-        scratch: &mut SimScratch,
-        counts: &mut Counts,
-    ) -> ShotWork {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let SimScratch {
-            amps,
-            draws,
-            pending,
-            hist,
-        } = scratch;
-        let mut out = Recorder::new(self.num_clbits, hist, counts);
-        let mut work = ShotWork::default();
-        let mut left = shots;
-        while left > 0 {
-            let run = left.min(GROUP_SLICES as u64 * SLICE_SHOTS);
-            left -= run;
-            draws.fired.clear();
-            draws.deferred.clear();
-            self.draw(&mut rng, run, draws, &mut out);
-            pending.clear();
-            draws.gather(0, pending);
-            work += self.replay(&[&draws.fired], pending, amps, |_, key| out.record(key));
-        }
-        work
-    }
-
-    /// Pass 1 of one batch slice: draws `shots` shots seeded with `seed`.
-    /// Returns the slice's clean shots as a histogram and its fired shots
-    /// sorted by set key.
+    /// A shot draws, in this order: its events, one uniform (for the fired
+    /// trajectory's `|amp|²` sweep, or for the clean distribution), and one
+    /// readout uniform per measurement when readout error is on. A clean
+    /// shot is recorded at once. A fired one is deferred with its sweep
+    /// uniform and its readout flips (see `ReadoutFlips`).
     pub(crate) fn draw_slice(
         &self,
+        tier: Tier,
         shots: u64,
         seed: u64,
         scratch: &mut SimScratch,
     ) -> (Counts, Deferred) {
         let mut counts = Counts::new(self.num_clbits);
-        let mut draws = Draws::default();
+        let mut deferred = Deferred::default();
         let job = DrawSlice {
             plan: self,
             shots,
             seed,
-            draws: &mut draws,
+            deferred: &mut deferred,
             hist: &mut scratch.hist,
             counts: &mut counts,
         };
-        tier::dispatch(Tier::detected(), job);
-        let mut sorted = Vec::with_capacity(draws.deferred.len());
-        draws.gather(0, &mut sorted);
-        sorted.sort_unstable_by_key(|p| p.key);
-        let deferred = Deferred {
-            fired: draws.fired,
-            shots: sorted,
-        };
+        tier::dispatch(tier, job);
+        deferred.shots.sort_unstable_by_key(|p| p.key);
         (counts, deferred)
     }
 
     /// Pass 2 over the fired shots of `slices` (one plan's) whose set key
-    /// falls in `bucket`. Returns each shot's `(slice, outcome)`, sorted,
-    /// and the exact work done.
+    /// falls in `bucket`, compiled for `tier`. Runs each distinct fired
+    /// set's trajectory once and samples its shots in ascending uniform
+    /// order with one sweep over its `|amp|²`. No draw depends on the
+    /// state, and a set's state does not depend on which shot drew it, so
+    /// the outcomes are the ones a trajectory per shot gives, bit for bit.
+    /// Returns each shot's `(slice, outcome)`, sorted, and the exact work
+    /// done.
     pub(crate) fn replay_slices(
         &self,
+        tier: Tier,
         slices: &[&Deferred],
         bucket: Bucket,
         scratch: &mut SimScratch,
@@ -718,20 +621,28 @@ impl CompiledCircuit {
             scratch,
             outcomes: &mut outcomes,
         };
-        let work = tier::dispatch(Tier::detected(), job);
+        let work = tier::dispatch(tier, job);
         outcomes.sort_unstable();
         (outcomes, work)
     }
 
     /// Pass 1: draws `shots` shots from `rng` in stream order. A clean
     /// shot is recorded into `clean` at once; a fired one is appended to
-    /// `draws` with its Paulis, set key, sweep uniform and readout flips.
+    /// `deferred` with its Paulis, set key, sweep uniform and readout
+    /// flips.
     #[inline(always)]
-    fn draw(&self, rng: &mut ChaCha8Rng, shots: u64, draws: &mut Draws, clean: &mut Recorder<'_>) {
+    fn draw(
+        &self,
+        rng: &mut ChaCha8Rng,
+        shots: u64,
+        deferred: &mut Deferred,
+        clean: &mut Recorder<'_>,
+    ) {
+        let fired = &mut deferred.fired;
         for _ in 0..shots {
-            let start = draws.fired.len();
-            self.sample_events(rng, &mut draws.fired);
-            if draws.fired.len() == start {
+            let start = fired.len();
+            self.sample_events(rng, fired);
+            if fired.len() == start {
                 let basis = sample_cumulative(&self.clean_cum, rng);
                 clean.record(self.readout_key(basis, self.draw_flips(rng)));
                 continue;
@@ -739,15 +650,18 @@ impl CompiledCircuit {
             // Keeps every offset into `fired` a valid `u32` (2^32 Paulis
             // would fill 32 GiB first).
             assert!(
-                draws.fired.len() <= u32::MAX as usize,
+                fired.len() <= u32::MAX as usize,
                 "fired Paulis overflow u32 offsets"
             );
             let u = rng.gen();
-            draws.deferred.push(DeferredShot {
-                u,
-                flips: self.draw_flips(rng),
+            let flips = self.draw_flips(rng);
+            deferred.shots.push(Pending {
+                key: set_key(&fired[start..]),
+                slice: 0,
                 start: start as u32,
-                key: set_key(&draws.fired[start..]),
+                end: fired.len() as u32,
+                u,
+                flips,
             });
         }
     }
@@ -930,42 +844,15 @@ impl CompiledCircuit {
         }
         (start, kernel_ops)
     }
-
-    /// The coherent-only ("clean") trajectory as a state vector — the
-    /// state every no-event shot samples from.
-    pub fn clean_statevector(&self) -> StateVector {
-        let mut amps = Vec::new();
-        self.run_trajectory_into(&[], &mut amps);
-        StateVector::from_amplitudes(self.num_dense_qubits, amps)
-    }
 }
 
-/// One [`CompiledCircuit::run_into`] call, as the job [`tier::dispatch`]
+/// One [`CompiledCircuit::draw_slice`] call, as the job [`tier::dispatch`]
 /// compiles once per SIMD tier.
-struct RunInto<'a> {
-    plan: &'a CompiledCircuit,
-    shots: u64,
-    seed: u64,
-    scratch: &'a mut SimScratch,
-    counts: &'a mut Counts,
-}
-
-impl Tiered for RunInto<'_> {
-    type Output = ShotWork;
-
-    #[inline(always)]
-    fn run(self) -> ShotWork {
-        self.plan
-            .run_shots(self.shots, self.seed, self.scratch, self.counts)
-    }
-}
-
-/// One [`CompiledCircuit::draw_slice`] call, as a tiered job.
 struct DrawSlice<'a> {
     plan: &'a CompiledCircuit,
     shots: u64,
     seed: u64,
-    draws: &'a mut Draws,
+    deferred: &'a mut Deferred,
     hist: &'a mut Vec<u64>,
     counts: &'a mut Counts,
 }
@@ -977,7 +864,8 @@ impl Tiered for DrawSlice<'_> {
     fn run(self) {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut clean = Recorder::new(self.plan.num_clbits, self.hist, self.counts);
-        self.plan.draw(&mut rng, self.shots, self.draws, &mut clean);
+        self.plan
+            .draw(&mut rng, self.shots, self.deferred, &mut clean);
     }
 }
 
@@ -1015,55 +903,19 @@ impl Tiered for Replay<'_> {
     }
 }
 
-/// Reusable per-thread working buffers for [`CompiledCircuit::run_into`].
-///
-/// Holds the trajectory state vector, one run of windows' fired events
-/// and deferred shots, and the dense outcome histogram. Buffers
-/// only ever grow, and no further than one run of windows needs; once a
-/// first call has warmed them for a given plan size, the shot loop
-/// allocates nothing. One scratch serves any sequence of plans (workers
-/// keep a thread-local instance across slices and batches).
+/// Per-worker buffers the batch path reuses across slices and batches:
+/// the trajectory state vector, a replay item's gathered shots, and the
+/// dense outcome histogram (left zeroed after every slice). Buffers only
+/// grow; one scratch serves any sequence of plans.
 #[derive(Debug, Default)]
-pub struct SimScratch {
+pub(crate) struct SimScratch {
     amps: Vec<C64>,
-    draws: Draws,
     pending: Vec<Pending>,
     hist: Vec<u64>,
 }
 
-impl SimScratch {
-    /// An empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Pass 1's output for one slice (or one run of `run_into` windows): the
-/// fired shots it deferred and their Paulis, in draw order.
-#[derive(Debug, Default)]
-struct Draws {
-    fired: Vec<FiredPauli>,
-    deferred: Vec<DeferredShot>,
-}
-
-impl Draws {
-    /// Appends this slice's deferred shots to `pending` as replay shots of
-    /// slice `slice`.
-    fn gather(&self, slice: u32, pending: &mut Vec<Pending>) {
-        let ends = self.deferred.iter().skip(1).map(|next| next.start);
-        let ends = ends.chain([self.fired.len() as u32]);
-        pending.extend(self.deferred.iter().zip(ends).map(|(d, end)| Pending {
-            key: d.key,
-            slice,
-            start: d.start,
-            end,
-            u: d.u,
-            flips: d.flips,
-        }));
-    }
-}
-
-/// One batch slice's fired shots, sorted by set key, and their Paulis.
+/// One batch slice's fired shots and their Paulis. Pass 1 appends them in
+/// draw order; [`CompiledCircuit::draw_slice`] sorts them by set key.
 #[derive(Debug, Default)]
 pub(crate) struct Deferred {
     fired: Vec<FiredPauli>,
@@ -1100,28 +952,18 @@ impl Bucket {
     }
 }
 
-/// A fired shot as pass 1 keeps it (32 bytes). Its fired Paulis run from
-/// `start` to the next deferred shot's `start`, or to the end of the
-/// buffer: only fired shots append Paulis.
-#[derive(Debug, Clone, Copy)]
-struct DeferredShot {
-    /// The uniform its trajectory's `|amp|²` sweep samples with.
-    u: f64,
-    flips: ReadoutFlips,
-    start: u32,
-    /// [`set_key`] of its fired Paulis.
-    key: u32,
-}
-
-/// A deferred shot gathered for replay, with its slice and fired range.
+/// A fired shot, deferred by pass 1 and gathered for replay.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
+    /// [`set_key`] of its fired Paulis.
     key: u32,
-    /// Its slice's index among the slices replayed together.
+    /// Its slice's index among the slices replayed together (0 until a
+    /// replay gathers it).
     slice: u32,
     /// Its fired Paulis are `fired[start..end]` of its slice's buffer.
     start: u32,
     end: u32,
+    /// The uniform its trajectory's `|amp|²` sweep samples with.
     u: f64,
     flips: ReadoutFlips,
 }
@@ -1446,20 +1288,14 @@ mod tests {
     #[test]
     fn compiled_plan_is_reusable_with_shared_scratch() {
         // One plan + one scratch across many seeds must match fresh
-        // runs bit-for-bit: nothing may leak between calls. A budget of
-        // at most one slice is one `run_into` on the slice-0 seed.
+        // runs bit-for-bit: nothing may leak between calls.
         let d = device();
         let sim = NoisySimulator::from_device(&d);
         let plan = sim.compile(&bell()).unwrap();
-        let mut scratch = SimScratch::new();
-        for (shots, seed) in [(700u64, 3u64), (SLICE_SHOTS, 17), (700, 3), (1, 99)] {
-            let mut counts = Counts::new(plan.num_clbits());
-            plan.run_into(
-                shots,
-                crate::rngstream::fork(seed, 0),
-                &mut scratch,
-                &mut counts,
-            );
+        let mut scratch = SimScratch::default();
+        for (shots, seed) in [(700u64, 3u64), (2500, 17), (700, 3), (1, 99)] {
+            let (counts, _) =
+                super::dedup::batch_at(Tier::detected(), &plan, shots, seed, &mut scratch);
             assert_eq!(
                 counts,
                 sim.run(&bell(), shots, seed).unwrap(),
@@ -1792,7 +1628,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_statevector_matches_trajectory() {
+    fn clean_distribution_is_the_clean_trajectorys() {
         let d = device();
         let opts = SimOptions {
             stochastic_gate_noise: false,
@@ -1803,16 +1639,16 @@ mod tests {
         };
         let sim = NoisySimulator::from_device(&d).with_options(opts);
         let plan = sim.compile(&bell()).unwrap();
-        let sv = plan.clean_statevector();
-        assert_eq!(sv.num_qubits(), 2);
-        assert!((sv.norm() - 1.0).abs() < 1e-9);
+        let mut amps = Vec::new();
+        plan.run_trajectory_into(&[], &mut amps);
+        assert_eq!(amps.len(), 4);
         // clean_cum is the cumulative of exactly this state.
-        let probs = sv.probabilities();
         let mut acc = 0.0;
-        for (p, &c) in probs.iter().zip(plan.clean_cum.iter()) {
-            acc += p;
+        for (a, &c) in amps.iter().zip(plan.clean_cum.iter()) {
+            acc += a.norm_sqr();
             assert!((acc - c).abs() < 1e-12);
         }
+        assert!((acc - 1.0).abs() < 1e-9);
     }
 }
 
@@ -1948,7 +1784,7 @@ mod checkpoint {
     #[test]
     fn first_event_exactly_at_a_checkpoint_step_resumes_there() {
         let plan = span_plan();
-        assert_eq!(plan.num_checkpoints(), 4);
+        assert_eq!(plan.checkpoints.len(), 4);
         for (c, cp) in plan.checkpoints.iter().enumerate() {
             // The last checkpoint sharing this `min_step` is the one chosen.
             let chosen = plan.checkpoints[c..]
@@ -2003,7 +1839,7 @@ mod checkpoint {
         for (circuit, ops) in [(empty, 0), (one, 1), (two, 2)] {
             let plan = compile(&circuit);
             assert_eq!(plan.num_fused_ops(), ops);
-            assert_eq!(plan.num_checkpoints(), 0);
+            assert_eq!(plan.checkpoints.len(), 0);
             for step in 0..=ops as u32 {
                 let fired = [pauli(step, 0, Pauli::Y)];
                 assert_eq!(assert_resumes_exactly(&plan, &fired), 0);
@@ -2016,9 +1852,10 @@ mod checkpoint {
         let plan = span_plan();
         let bare = without_checkpoints(&plan);
         let shots = if cfg!(miri) { 16 } else { 2048 };
-        let (mut a, mut b) = (Counts::new(2), Counts::new(2));
-        let work = plan.run_into(shots, 5, &mut SimScratch::new(), &mut a);
-        let bare_work = bare.run_into(shots, 5, &mut SimScratch::new(), &mut b);
+        let run = |plan| {
+            super::dedup::batch_at(Tier::detected(), plan, shots, 5, &mut SimScratch::default())
+        };
+        let ((a, work), (b, bare_work)) = (run(&plan), run(&bare));
         assert_eq!(a, b);
         assert_eq!(work.replayed_shots, bare_work.replayed_shots);
         assert!(work.replayed_shots <= shots);
@@ -2048,13 +1885,13 @@ mod checkpoint {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         // 12 qubits: the cap allows 16 checkpoints, fewer than √ops.
         let plan = compile(&random_circuit(&mut rng, 12, 1_200));
-        assert!(plan.num_checkpoints() > 0);
+        assert!(!plan.checkpoints.is_empty());
         assert!(plan.checkpoint_amps.len() <= CHECKPOINT_AMP_CAP);
-        assert_eq!(plan.checkpoint_amps.len(), plan.num_checkpoints() << 12);
+        assert_eq!(plan.checkpoint_amps.len(), plan.checkpoints.len() << 12);
         // 17 qubits: one checkpoint alone would exceed the cap.
         let plan = compile(&random_circuit(&mut rng, 17, 40));
         assert_eq!(plan.num_dense_qubits, 17);
-        assert_eq!(plan.num_checkpoints(), 0);
+        assert_eq!(plan.checkpoints.len(), 0);
         assert!(plan.checkpoint_amps.is_empty());
     }
 }
@@ -2063,81 +1900,125 @@ mod checkpoint {
 /// as the oracle: histograms and work counts must match bit for bit. Tiny
 /// circuits and few shots keep this module cheap enough for Miri.
 #[cfg(test)]
-mod dedup {
+pub(crate) mod dedup {
     use super::checkpoint::{compile, device, random_circuit, without_checkpoints};
     use super::*;
+    use crate::parallel::{slice_sizes, GROUP_SLICES, REPLAY_ITEM_SHOTS, SLICE_SHOTS};
     use crate::statevector::sample_kernel;
     use qdevice::presets;
     use rand::Rng;
 
     pub(super) const CASES: u64 = if cfg!(miri) { 1 } else { 6 };
 
-    /// Shot counts around the window size, plus one run of several windows.
+    /// Shot counts around the slice size, plus a job of several slices.
     pub(super) const SHOTS: &[u64] = if cfg!(miri) {
         &[0, 1, 2, 33]
     } else {
         &[0, 1, 2, 1023, 1024, 1025, 5000]
     };
 
-    /// The per-shot loop: draws, one trajectory per fired shot, one
-    /// `sample_kernel` sweep and the readout flips, shot by shot. Its
-    /// `distinct_trajectories` and `kernel_ops` count each distinct fired
-    /// set once per run of [`GROUP_SLICES`] windows.
-    fn per_shot(plan: &CompiledCircuit, shots: u64, seed: u64) -> (Counts, ShotWork) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    /// The per-shot loop over the slices `run_batch` cuts a job into:
+    /// slice `s` of `n` shots draws from `fork(seed, s)`, shot by shot —
+    /// its events, one trajectory per fired shot, one `sample_kernel`
+    /// sweep and the readout flips. Its `distinct_trajectories` and
+    /// `kernel_ops` count each distinct fired set once per group of
+    /// [`GROUP_SLICES`] slices, the groups `run_batch` replays together.
+    pub(crate) fn per_shot(plan: &CompiledCircuit, shots: u64, seed: u64) -> (Counts, ShotWork) {
         let mut counts = Counts::new(plan.num_clbits());
         let (mut fired, mut amps) = (Vec::new(), Vec::new());
         let mut seen = std::collections::BTreeSet::new();
         let mut work = ShotWork::default();
-        for shot in 0..shots {
-            if shot % (GROUP_SLICES as u64 * SLICE_SHOTS) == 0 {
+        for (s, n) in slice_sizes(shots).into_iter().enumerate() {
+            if s % GROUP_SLICES == 0 {
                 seen.clear();
             }
-            fired.clear();
-            plan.sample_events(&mut rng, &mut fired);
-            let basis = if fired.is_empty() {
-                sample_cumulative(&plan.clean_cum, &mut rng)
-            } else {
-                let (skipped, kernel_ops) = plan.run_trajectory_into(&fired, &mut amps);
-                work.replayed_shots += 1;
-                work.skipped_ops += skipped as u64;
-                if seen.insert(fired.clone()) {
-                    work.distinct_trajectories += 1;
-                    work.kernel_ops += kernel_ops;
-                }
-                sample_kernel(&amps, &mut rng)
-            };
-            let mut key = 0u64;
-            for m in &plan.measurements {
-                let mut bit = (basis >> m.dense) & 1;
-                if plan.readout {
-                    let flip_prob = if bit == 1 { m.p10 } else { m.p01 };
-                    if rng.gen::<f64>() < flip_prob {
-                        bit ^= 1;
+            let mut rng = ChaCha8Rng::seed_from_u64(rngstream::fork(seed, s as u64));
+            for _ in 0..n {
+                fired.clear();
+                plan.sample_events(&mut rng, &mut fired);
+                let basis = if fired.is_empty() {
+                    sample_cumulative(&plan.clean_cum, &mut rng)
+                } else {
+                    let (skipped, kernel_ops) = plan.run_trajectory_into(&fired, &mut amps);
+                    work.replayed_shots += 1;
+                    work.skipped_ops += skipped as u64;
+                    if seen.insert(fired.clone()) {
+                        work.distinct_trajectories += 1;
+                        work.kernel_ops += kernel_ops;
                     }
+                    sample_kernel(&amps, &mut rng)
+                };
+                let mut key = 0u64;
+                for m in &plan.measurements {
+                    let mut bit = (basis >> m.dense) & 1;
+                    if plan.readout {
+                        let flip_prob = if bit == 1 { m.p10 } else { m.p01 };
+                        if rng.gen::<f64>() < flip_prob {
+                            bit ^= 1;
+                        }
+                    }
+                    key |= (bit as u64) << m.clbit;
                 }
-                key |= (bit as u64) << m.clbit;
+                counts.record(key);
             }
-            counts.record(key);
+        }
+        (counts, work)
+    }
+
+    /// One `shots`-shot job of `plan` seeded with `seed`, run as
+    /// `run_batch` runs it, but serially and compiled for `tier`: each
+    /// slice drawn on its own from `fork(seed, s)`, then each group of
+    /// [`GROUP_SLICES`] slices replayed together in `run_batch`'s key
+    /// buckets. Returns the histogram and the replay work.
+    pub(super) fn batch_at(
+        tier: Tier,
+        plan: &CompiledCircuit,
+        shots: u64,
+        seed: u64,
+        scratch: &mut SimScratch,
+    ) -> (Counts, ShotWork) {
+        let mut counts = Counts::new(plan.num_clbits());
+        let mut work = ShotWork::default();
+        for (g, group) in slice_sizes(shots).chunks(GROUP_SLICES).enumerate() {
+            let drawn: Vec<(Counts, Deferred)> = group
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| {
+                    let seed = rngstream::fork(seed, (g * GROUP_SLICES + i) as u64);
+                    plan.draw_slice(tier, n, seed, scratch)
+                })
+                .collect();
+            let views: Vec<&Deferred> = drawn.iter().map(|(_, deferred)| deferred).collect();
+            let fired: usize = views.iter().map(|d| d.len()).sum();
+            let of = fired.div_ceil(REPLAY_ITEM_SHOTS).max(1) as u64;
+            for index in 0..of {
+                let (outcomes, item) =
+                    plan.replay_slices(tier, &views, Bucket::new(index, of), scratch);
+                work += item;
+                for (_, key) in outcomes {
+                    counts.record(key);
+                }
+            }
+            for (clean, _) in &drawn {
+                counts.merge_from(clean);
+            }
         }
         (counts, work)
     }
 
     /// Runs `plan` both ways with every shot count in `shots` (sharing
     /// one scratch, so nothing may leak between calls) and asserts equal
-    /// histograms and work: `run_into` must run exactly one trajectory per
-    /// distinct fired set of each run of windows. Returns whether any call
-    /// ran fewer trajectories than it had fired shots.
+    /// histograms and work: the batch path must run exactly one trajectory
+    /// per distinct fired set of each group of slices. Returns whether any
+    /// job ran fewer trajectories than it had fired shots.
     fn assert_matches_per_shot_at(plan: &CompiledCircuit, seed: u64, shots: &[u64]) -> bool {
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::default();
         let mut shared = false;
         for &shots in shots {
-            let (want, want_work) = per_shot(plan, shots, seed);
-            let mut got = Counts::new(plan.num_clbits());
-            let work = plan.run_into(shots, seed, &mut scratch, &mut got);
+            let want = per_shot(plan, shots, seed);
+            let got = batch_at(Tier::detected(), plan, shots, seed, &mut scratch);
             assert_eq!(got, want, "{shots} shots, seed {seed}");
-            assert_eq!(work, want_work, "{shots} shots, seed {seed}");
-            shared |= work.distinct_trajectories < work.replayed_shots;
+            shared |= got.1.distinct_trajectories < got.1.replayed_shots;
         }
         shared
     }
@@ -2204,17 +2085,17 @@ mod dedup {
             let qubits = rng.gen_range(2..=4);
             let plan = compile(&random_circuit(&mut rng, qubits, 40));
             let bare = without_checkpoints(&plan);
-            assert_eq!(bare.num_checkpoints(), 0);
+            assert_eq!(bare.checkpoints.len(), 0);
             assert_matches_per_shot(&bare, case);
         }
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "tens of thousands of shots are too slow under Miri")]
-    fn calls_longer_than_one_run_replay_each_run_on_its_own() {
-        // One run of windows, one shot more, and two and a half runs: the
-        // first fired sets of a run are new trajectories even when an
-        // earlier run of the same call already ran them.
+    fn jobs_longer_than_one_group_replay_each_group_on_its_own() {
+        // One group of slices, one shot more, and two and a half groups:
+        // the first fired sets of a group are new trajectories even when
+        // an earlier group of the same job already ran them.
         let run = GROUP_SLICES as u64 * SLICE_SHOTS;
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let plan = compile(&random_circuit(&mut rng, 3, 24));
@@ -2310,51 +2191,19 @@ mod dedup {
         let mut wide = Circuit::new(3, 14);
         wide.h(0).cx(0, 1).ry(2, 0.7).cx(1, 2).h(1);
         wide.measure(0, 0).measure(1, 7).measure(2, 13);
-        // (circuit, options, shots, seed, one-`run_into` digest, batch
-        // digest). The fifth column is one `run_into(shots, seed)` over the
-        // whole budget; the sixth is the sliced schedule of `run` and
-        // `run_batch`.
+        // (circuit, options, shots, seed, digest of the sliced schedule of
+        // `run` and `run_batch`).
         let cases = [
-            (
-                &layered,
-                SimOptions::all(),
-                5000,
-                11,
-                0xfa13241f5b6996c4u64,
-                0xe9b3c90b9d30e519u64,
-            ),
-            (
-                &bell,
-                SimOptions::iid_only(),
-                1025,
-                3,
-                0x1eae4f5cf24814a4,
-                0x05791bf37fc39b40,
-            ),
-            (
-                &wide,
-                SimOptions::all(),
-                2048,
-                5,
-                0xc4e3ed0dc7128c7f,
-                0xf456bb6c73a9748b,
-            ),
-            (
-                &layered,
-                SimOptions::none(),
-                1023,
-                9,
-                0xe1e39da5fa833755,
-                0x6be20d44336ace04,
-            ),
+            (&layered, SimOptions::all(), 5000, 11, 0xe9b3c90b9d30e519u64),
+            (&bell, SimOptions::iid_only(), 1025, 3, 0x05791bf37fc39b40),
+            (&wide, SimOptions::all(), 2048, 5, 0xf456bb6c73a9748b),
+            (&layered, SimOptions::none(), 1023, 9, 0x6be20d44336ace04),
         ];
         let d = DeviceModel::synthesize(presets::melbourne14(), 42);
-        for (circuit, options, shots, seed, one_call, batch) in cases {
+        for (circuit, options, shots, seed, batch) in cases {
             let sim = NoisySimulator::from_device(&d).with_options(options);
             let plan = sim.compile(circuit).unwrap();
-            let mut counts = Counts::new(plan.num_clbits());
-            plan.run_into(shots, seed, &mut SimScratch::new(), &mut counts);
-            assert_eq!(digest(&counts), one_call);
+            assert_eq!(digest(&per_shot(&plan, shots, seed).0), batch);
             assert_eq!(digest(&sim.run(circuit, shots, seed).unwrap()), batch);
             for threads in [1, 2] {
                 let job = BatchJob::new(circuit, shots, seed);
@@ -2366,13 +2215,14 @@ mod dedup {
 }
 
 /// Every SIMD tier the host supports against the portable body, bit for
-/// bit: each kernel on random states, and whole `run_into` calls. Under
+/// bit: each kernel on random states, and whole jobs drawn and replayed
+/// through the batch path's two passes. Under
 /// Miri only the portable tier exists, so the module checks the dispatch
 /// path itself on tiny inputs.
 #[cfg(test)]
 mod tiers {
     use super::checkpoint::{compile, random_circuit};
-    use super::dedup::{random_plans, CASES, SHOTS};
+    use super::dedup::{batch_at, random_plans, CASES, SHOTS};
     use super::*;
     use rand::Rng;
 
@@ -2476,28 +2326,8 @@ mod tiers {
         }
     }
 
-    /// `plan.run_into` compiled for `tier`.
-    fn run_at(
-        tier: Tier,
-        plan: &CompiledCircuit,
-        shots: u64,
-        seed: u64,
-        scratch: &mut SimScratch,
-    ) -> (Counts, ShotWork) {
-        let mut counts = Counts::new(plan.num_clbits());
-        let job = RunInto {
-            plan,
-            shots,
-            seed,
-            scratch,
-            counts: &mut counts,
-        };
-        let work = tier::dispatch(tier, job);
-        (counts, work)
-    }
-
     #[test]
-    fn run_into_matches_the_portable_body_bit_for_bit() {
+    fn draw_and_replay_match_the_portable_body_bit_for_bit() {
         // The `noise::dedup` plans, plus wider states whose runs of
         // amplitudes fill whole vector registers.
         let wide_qubits: &[u32] = if cfg!(miri) { &[] } else { &[6, 8] };
@@ -2506,15 +2336,15 @@ mod tiers {
             compile(&random_circuit(&mut rng, qubits, 60))
         });
         let plans = (0..CASES).flat_map(random_plans).chain(wide);
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::default();
         let mut kernel_ops = 0;
         for (case, plan) in plans.enumerate() {
             for &shots in SHOTS {
                 let seed = 300 + case as u64;
-                let want = run_at(Tier::Portable, &plan, shots, seed, &mut scratch);
+                let want = batch_at(Tier::Portable, &plan, shots, seed, &mut scratch);
                 kernel_ops += want.1.kernel_ops;
                 for tier in supported() {
-                    let got = run_at(tier, &plan, shots, seed, &mut scratch);
+                    let got = batch_at(tier, &plan, shots, seed, &mut scratch);
                     assert_eq!(got, want, "{tier:?}, plan {case}, {shots} shots");
                 }
             }

@@ -1,9 +1,9 @@
 //! Expectation values over measured outcome data.
 //!
-//! QAOA-style workloads judge runs by the expectation of a cost observable
-//! rather than a single bitstring; GHZ coherence shows up in parity
-//! expectations. These helpers evaluate diagonal observables directly from
-//! shot histograms.
+//! Some workloads judge runs by an expectation rather than a single
+//! bitstring; GHZ coherence, for one, shows up in parity expectations.
+//! These helpers evaluate diagonal Pauli observables directly from shot
+//! histograms.
 
 use crate::Counts;
 
@@ -60,17 +60,6 @@ pub fn expectation_parity(counts: &Counts, mask: u64) -> f64 {
     acc / counts.shots() as f64
 }
 
-/// Expectation of a diagonal cost function over the histogram (e.g. the
-/// max-cut value in QAOA).
-///
-/// # Panics
-///
-/// Panics if no shots were recorded.
-pub fn expectation_cost<F: Fn(u64) -> f64>(counts: &Counts, cost: F) -> f64 {
-    assert!(counts.shots() > 0, "empty histogram");
-    counts.iter().map(|(k, n)| cost(k) * n as f64).sum::<f64>() / counts.shots() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,13 +91,6 @@ mod tests {
         assert_eq!(expectation_parity(&c, 0b011), 0.5);
         // Mask restricted to bit 0: 011->odd, 001->odd, 000->even.
         assert_eq!(expectation_parity(&c, 0b001), -0.5);
-    }
-
-    #[test]
-    fn cost_expectation_matches_average() {
-        let c = counts(&[0b001, 0b010, 0b100, 0b111]);
-        let avg_weight = expectation_cost(&c, |k| k.count_ones() as f64);
-        assert!((avg_weight - (1.0 + 1.0 + 1.0 + 3.0) / 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -25,14 +25,15 @@
 //!
 //! Each distinct circuit in a batch is compiled **once** into a shared
 //! [`crate::CompiledCircuit`] before dispatch; jobs match by
-//! [`Circuit::fingerprint`], confirmed by equality. Workers keep a
-//! thread-local [`crate::SimScratch`]; a wave's draws are dropped when the
-//! wave ends.
+//! [`Circuit::fingerprint`], confirmed by equality. Workers keep
+//! thread-local buffers for trajectories, gathered shots and histograms
+//! across slices and batches; a wave's draws are dropped when the wave
+//! ends.
 
-use crate::noise::{Bucket, Deferred};
+use crate::noise::{Bucket, Deferred, SimScratch};
 use crate::pool::WorkerPool;
 use crate::tier::Tier;
-use crate::{rngstream, CompiledCircuit, Counts, NoisySimulator, SimError, SimScratch};
+use crate::{rngstream, CompiledCircuit, Counts, NoisySimulator, SimError};
 pub use edm_telemetry::trace::TraceContext;
 
 use qcir::Circuit;
@@ -46,6 +47,13 @@ use std::ops::Range;
 /// per-slice overhead (histogram merge, scratch warm-up) stays well under
 /// a percent of the trajectory work.
 pub const SLICE_SHOTS: u64 = 1024;
+
+/// The largest shot budget one job may ask for: 2^30 shots, 65 536 times
+/// the paper's 16 384 trials. A larger job fails alone with
+/// [`SimError::TooManyShots`] before any of its slices is laid out, so an
+/// absurd budget cannot exhaust memory. Front ends reject above it at
+/// admission.
+pub const MAX_SHOTS: u64 = 1 << 30;
 
 /// Slices replayed together: a batch replays each plan's slices in
 /// consecutive runs of at most this many, the paper's 16 384 trials. The
@@ -63,7 +71,7 @@ pub const WAVE_SLICES: usize = 4 * GROUP_SLICES;
 /// the draws. Small enough that the unequal groups of a small batch (a
 /// 256-shot baseline sharing a plan with one of four 64-shot members)
 /// still split into near-equal items for the workers.
-const REPLAY_ITEM_SHOTS: usize = 64;
+pub(crate) const REPLAY_ITEM_SHOTS: usize = 64;
 
 /// A job with this seed panics in every replay item it shares, to test
 /// that the panic fails no other job.
@@ -73,7 +81,7 @@ const REPLAY_FAULT_SEED: u64 = 0xFA17_5EED;
 thread_local! {
     /// Per-worker simulation buffers, reused across every slice a worker
     /// ever runs (buffers only grow; see [`SimScratch`]).
-    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
+    static SCRATCH: RefCell<SimScratch> = RefCell::default();
 }
 
 /// One independent execution request inside a batch: a circuit, its shot
@@ -115,7 +123,7 @@ impl<'a> BatchJob<'a> {
 /// The shot budgets of each slice of a `shots`-shot job.
 ///
 /// A zero-shot job still gets one (empty) slice.
-fn slice_sizes(shots: u64) -> Vec<u64> {
+pub(crate) fn slice_sizes(shots: u64) -> Vec<u64> {
     if shots == 0 {
         return vec![0];
     }
@@ -158,7 +166,7 @@ impl Layout {
         plans: &[Result<CompiledCircuit, SimError>],
     ) -> Self {
         let mut order: Vec<usize> = (0..jobs.len())
-            .filter(|&j| plans[plan_of[j]].is_ok())
+            .filter(|&j| plans[plan_of[j]].is_ok() && jobs[j].shots <= MAX_SHOTS)
             .collect();
         // Stable: a plan's jobs stay in job order.
         order.sort_by_key(|&j| plan_of[j]);
@@ -235,10 +243,11 @@ impl NoisySimulator<'_> {
     /// order.
     ///
     /// Each job's result is bit-identical for every `threads` value, and
-    /// equal to running each slice `s` of `n` shots on its own as
-    /// `run_into(n, rngstream::fork(seed, s))` and summing. A job whose
-    /// circuit fails validation reports its own error without disturbing
-    /// the other jobs.
+    /// equal to running each slice `s` of `n` shots shot by shot, one
+    /// trajectory per shot, from `rngstream::fork(seed, s)`, and summing.
+    /// A job whose circuit fails validation, or whose budget exceeds
+    /// [`MAX_SHOTS`], reports its own error without disturbing the other
+    /// jobs.
     ///
     /// # Panics
     ///
@@ -322,14 +331,15 @@ impl NoisySimulator<'_> {
         )
         .add(slices.len() as u64);
         edm_telemetry::counter!("edm_qsim_shots_total", "Shots executed by the simulator")
-            .add(jobs.iter().map(|j| j.shots).sum());
+            .add(slices.iter().map(|s| s.shots).sum());
+        let tier = Tier::detected();
         // Set per batch, not once per process: a gauge write made while
         // telemetry is off is dropped, and telemetry may come on later.
         edm_telemetry::gauge!(
             "edm_qsim_kernel_tier",
             "SIMD tier the shot loop's kernels run at: 0 portable, 1 AVX2, 2 AVX-512F"
         )
-        .set(Tier::detected() as i64);
+        .set(tier as i64);
 
         // Work-item timing is recorded inside the worker closures: a
         // histogram touch is worker-safe (relaxed atomics, no span stack).
@@ -376,9 +386,11 @@ impl NoisySimulator<'_> {
         // A job that failed validation starts (and stays) failed: its
         // circuit may not even fit a histogram. Counts commute, so the
         // merge order is free.
-        let mut out: Vec<Result<Counts, SimError>> = plan_of
+        let mut out: Vec<Result<Counts, SimError>> = jobs
             .iter()
-            .map(|&p| match &plans[p] {
+            .zip(&plan_of)
+            .map(|(job, &p)| match &plans[p] {
+                _ if job.shots > MAX_SHOTS => Err(SimError::TooManyShots { shots: job.shots }),
                 Ok(plan) => Ok(Counts::new(plan.num_clbits())),
                 Err(e) => Err(e.clone()),
             })
@@ -391,16 +403,17 @@ impl NoisySimulator<'_> {
             let first = groups[0].slices.start;
             let wave_slices = &slices[first..groups[groups.len() - 1].slices.end];
 
-            // Dispatch 1: every slice's draws. `map_catch` contains a
+            // Dispatch 1: every slice's draws. The pool contains a
             // panicking item: it fails only its own job (as a
             // non-transient [`SimError::ExecutionPanicked`]) and the pool
             // stays usable.
-            let drawn = WorkerPool::global().map_catch(wave_slices, threads, |_, slice| {
+            let drawn = WorkerPool::global().map(wave_slices, threads, |_, slice| {
                 let job = &jobs[slice.job];
                 let started = traced(slice.job).then(std::time::Instant::now);
                 let drawn = slice_hist.time(|| {
                     SCRATCH.with(|scratch| {
                         plan(plan_of[slice.job]).draw_slice(
+                            tier,
                             slice.shots,
                             rngstream::fork(job.seed, slice.index),
                             &mut scratch.borrow_mut(),
@@ -432,7 +445,7 @@ impl NoisySimulator<'_> {
                 let of = fired.div_ceil(REPLAY_ITEM_SHOTS).max(1) as u64;
                 items.extend((0..of).map(|index| (g, Bucket::new(index, of))));
             }
-            let replays = WorkerPool::global().map_catch(&items, threads, |_, &(g, bucket)| {
+            let replays = WorkerPool::global().map(&items, threads, |_, &(g, bucket)| {
                 let group = &groups[g];
                 #[cfg(test)]
                 if group
@@ -446,6 +459,7 @@ impl NoisySimulator<'_> {
                 let (outcomes, work) = replay_hist.time(|| {
                     SCRATCH.with(|scratch| {
                         plan(group.plan).replay_slices(
+                            tier,
                             views_of(group),
                             bucket,
                             &mut scratch.borrow_mut(),
@@ -602,24 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_statistics_match_serial() {
-        // The sliced schedule draws from the same distribution as one
-        // serial `run_into` stream over the whole budget; only which
-        // histogram a seed labels differs.
-        let d = DeviceModel::synthesize(presets::melbourne14(), 5);
-        let sim = NoisySimulator::from_device(&d);
-        let plan = sim.compile(&bell()).unwrap();
-        let mut serial = Counts::new(plan.num_clbits());
-        plan.run_into(20_000, 3, &mut SimScratch::new(), &mut serial);
-        let parallel = one_job(&sim, &bell(), 20_000, 3, 8).unwrap();
-        for key in 0..4u64 {
-            let a = serial.probability(key);
-            let b = parallel.probability(key);
-            assert!((a - b).abs() < 0.02, "key {key}: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn batch_jobs_match_individual_runs() {
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
         let sim = NoisySimulator::from_device(&d);
@@ -669,6 +665,33 @@ mod tests {
     }
 
     #[test]
+    fn oversized_budget_fails_alone_before_any_slice_is_laid_out() {
+        let d = DeviceModel::synthesize(presets::melbourne14(), 5);
+        let sim = NoisySimulator::from_device(&d);
+        let c = bell();
+        // Laid out, u64::MAX shots would need 2^54 slices.
+        let jobs = [
+            BatchJob::new(&c, u64::MAX, 0),
+            BatchJob::new(&c, 1200, 1),
+            BatchJob::new(&c, MAX_SHOTS + 1, 2),
+        ];
+        for threads in [1, 2] {
+            let results = sim.run_batch(&jobs, threads);
+            let err = results[0].as_ref().unwrap_err();
+            assert_eq!(err, &SimError::TooManyShots { shots: u64::MAX });
+            assert!(!err.is_transient());
+            assert_eq!(results[1], sim.run(&c, 1200, 1));
+            assert_eq!(
+                results[2],
+                Err(SimError::TooManyShots {
+                    shots: MAX_SHOTS + 1
+                })
+            );
+        }
+        assert!(sim.run(&c, u64::MAX, 0).is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let d = DeviceModel::synthesize(presets::melbourne14(), 5);
@@ -677,28 +700,19 @@ mod tests {
     }
 }
 
-/// `run_batch` against its definition: each job's histogram is the sum of
-/// its slices run one by one with `run_into`, whatever the threads, plan
+/// `run_batch` against its definition: each job's histogram is the one
+/// the per-shot loop gives over its slices, whatever the threads, plan
 /// sharing and replay grouping. Few shots under Miri.
 #[cfg(test)]
 mod replay {
     use super::*;
+    use crate::noise::dedup::per_shot;
     use qdevice::{presets, DeviceModel};
 
-    /// Each slice `s` of `n` shots as `run_into(n, fork(seed, s))`, summed.
+    /// Each slice `s` of `n` shots run shot by shot from `fork(seed, s)`,
+    /// summed.
     fn summed_slices(sim: &NoisySimulator<'_>, job: &BatchJob<'_>) -> Result<Counts, SimError> {
-        let plan = sim.compile(job.circuit)?;
-        let mut counts = Counts::new(plan.num_clbits());
-        let mut scratch = SimScratch::new();
-        for (s, n) in slice_sizes(job.shots).into_iter().enumerate() {
-            plan.run_into(
-                n,
-                rngstream::fork(job.seed, s as u64),
-                &mut scratch,
-                &mut counts,
-            );
-        }
-        Ok(counts)
+        Ok(per_shot(&sim.compile(job.circuit)?, job.shots, job.seed).0)
     }
 
     fn circuits() -> (Circuit, Circuit, Circuit) {
@@ -817,12 +831,7 @@ mod replay {
             BatchJob::new(&bell, shots, 3),
         ];
         let (plans, _) = sim.compile_distinct(&jobs);
-        let work = plans[0].as_ref().unwrap().run_into(
-            shots,
-            rngstream::fork(REPLAY_FAULT_SEED, 0),
-            &mut SimScratch::new(),
-            &mut Counts::new(3),
-        );
+        let (_, work) = per_shot(plans[0].as_ref().unwrap(), shots, REPLAY_FAULT_SEED);
         assert!(work.replayed_shots > 0, "the faulty job fires no error");
         for threads in [1, 2] {
             let results = sim.run_batch(&jobs, threads);

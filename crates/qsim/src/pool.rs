@@ -14,19 +14,20 @@
 //! the per-item seed streams from [`crate::rngstream`], this makes every
 //! consumer of [`WorkerPool::map`] bit-identical across worker counts.
 //!
-//! Panics inside a work item are caught on the worker, remembered, and
-//! re-raised on the dispatching thread after the batch drains — a panicking
-//! item never takes down a pool thread or deadlocks the dispatcher.
+//! A panic inside a work item is caught where it runs and fails only that
+//! item's slot: the batch keeps draining, a panicking item never takes
+//! down a pool thread or deadlocks the dispatcher, and nothing is
+//! re-raised.
 //!
 //! Because workers are persistent (threads live for the process lifetime),
 //! `thread_local!` state on a worker survives across batches. The parallel
-//! executor exploits this to keep one warm [`crate::SimScratch`] per
-//! worker: simulation buffers are allocated on a worker's first slice and
-//! reused for every slice it runs afterwards.
+//! executor exploits this to keep one set of warm simulation buffers per
+//! worker: allocated on a worker's first slice and reused for every slice
+//! it runs afterwards.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
@@ -39,7 +40,7 @@ use std::thread::JoinHandle;
 ///
 /// let pool = WorkerPool::new(3); // 3 background workers + the caller
 /// let squares = pool.map(&[1u64, 2, 3, 4, 5], 4, |_, &x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
+/// assert_eq!(squares, vec![Ok(1), Ok(4), Ok(9), Ok(16), Ok(25)]);
 /// ```
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -119,11 +120,6 @@ impl WorkerPool {
         POOL.get_or_init(|| WorkerPool::new(default_threads().saturating_sub(1)))
     }
 
-    /// Number of background workers (total parallelism is one more).
-    pub fn background_workers(&self) -> usize {
-        self.background
-    }
-
     /// Applies `f` to every item, using at most `max_workers` threads
     /// (including the caller), and returns the results in item order.
     ///
@@ -131,72 +127,12 @@ impl WorkerPool {
     /// decides only *who* computes each `f(i, &items[i])`, never what the
     /// result slot `i` holds.
     ///
-    /// # Panics
-    ///
-    /// Panics if `max_workers == 0`, or re-raises the first caught panic
-    /// from `f` after the batch drains.
-    pub fn map<T, R, F>(&self, items: &[T], max_workers: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        assert!(max_workers > 0, "need at least one worker");
-        let total = items.len();
-        if total <= 1 || max_workers == 1 || self.background == 0 {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
-        let writer = SlotWriter(slots.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        let poisoned = AtomicBool::new(false);
-        let payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-        let work = || loop {
-            if poisoned.load(Ordering::Relaxed) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                // SAFETY: `i` is unique per fetch_add claim, so each slot
-                // is written by exactly one worker; the dispatch handshake
-                // orders all writes before `slots` is read below.
-                Ok(r) => unsafe { writer.write(i, r) },
-                Err(p) => {
-                    let mut guard = payload.lock().expect("panic slot lock");
-                    if guard.is_none() {
-                        *guard = Some(p);
-                    }
-                    poisoned.store(true, Ordering::Relaxed);
-                }
-            }
-        };
-        self.dispatch(&work, max_workers - 1);
-
-        if let Some(p) = payload.into_inner().expect("panic slot lock") {
-            resume_unwind(p);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every work item writes its slot"))
-            .collect()
-    }
-
-    /// Like [`WorkerPool::map`], but a panic in `f` fails only its own
-    /// item instead of aborting the batch.
-    ///
-    /// Each item's panic is caught *inside* the work closure, so the batch
-    /// keeps draining, every other slot completes normally, and the pool
-    /// stays usable — nothing is re-raised on the dispatcher. A panicked
-    /// slot holds `Err(message)` with the stringified panic payload.
-    ///
-    /// This is the containment boundary fault-tolerant callers build on:
-    /// a panicking backend fails one slice, not the whole run.
+    /// A panic in `f` fails only its own item: it is caught where the
+    /// item runs, the batch keeps draining, every other slot completes
+    /// normally, and the pool stays usable. A panicked slot holds
+    /// `Err(message)` with the stringified panic payload. This is the
+    /// containment boundary fault-tolerant callers build on: a panicking
+    /// work item fails one job, not the whole batch.
     ///
     /// # Panics
     ///
@@ -208,7 +144,7 @@ impl WorkerPool {
     /// use qsim::pool::WorkerPool;
     ///
     /// let pool = WorkerPool::new(2);
-    /// let out = pool.map_catch(&[1u64, 2, 3], 3, |_, &x| {
+    /// let out = pool.map(&[1u64, 2, 3], 3, |_, &x| {
     ///     if x == 2 { panic!("bad item"); }
     ///     x * 10
     /// });
@@ -216,20 +152,41 @@ impl WorkerPool {
     /// assert_eq!(out[1], Err("bad item".to_string()));
     /// assert_eq!(out[2], Ok(30));
     /// ```
-    pub fn map_catch<T, R, F>(
-        &self,
-        items: &[T],
-        max_workers: usize,
-        f: F,
-    ) -> Vec<Result<R, String>>
+    pub fn map<T, R, F>(&self, items: &[T], max_workers: usize, f: F) -> Vec<Result<R, String>>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.map(items, max_workers, |i, t| {
-            catch_unwind(AssertUnwindSafe(|| f(i, t))).map_err(|p| panic_message(p.as_ref()))
-        })
+        assert!(max_workers > 0, "need at least one worker");
+        let run = |i: usize| {
+            catch_unwind(AssertUnwindSafe(|| f(i, &items[i])))
+                .map_err(|p| panic_message(p.as_ref()))
+        };
+        let total = items.len();
+        if total <= 1 || max_workers == 1 || self.background == 0 {
+            return (0..total).map(run).collect();
+        }
+
+        let mut slots: Vec<Option<Result<R, String>>> = Vec::with_capacity(total);
+        slots.resize_with(total, || None);
+        let writer = SlotWriter(slots.as_mut_ptr());
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= total {
+                break;
+            }
+            // SAFETY: `i` is unique per fetch_add claim, so each slot is
+            // written by exactly one worker; the dispatch handshake orders
+            // all writes before `slots` is read below.
+            unsafe { writer.write(i, run(i)) }
+        };
+        self.dispatch(&work, max_workers - 1);
+        slots
+            .into_iter()
+            .map(|s| s.expect("every work item writes its slot"))
+            .collect()
     }
 
     /// Posts `work` for up to `extra_workers` background threads, runs it
@@ -238,7 +195,7 @@ impl WorkerPool {
     ///
     /// `work` must be drain-style: callable concurrently from many
     /// threads, returning once no work remains. It must not unwind (the
-    /// caller's `catch_unwind` in [`WorkerPool::map`] guarantees this; a
+    /// per-item `catch_unwind` in [`WorkerPool::map`] guarantees this; a
     /// defensive catch here keeps the handshake sound regardless).
     fn dispatch(&self, work: &(dyn Fn() + Sync), extra_workers: usize) {
         let extra = extra_workers.min(self.background);
@@ -370,11 +327,24 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
 
+    /// `pool.map` with every item required to complete.
+    fn map_ok<T: Sync, R: Send>(
+        pool: &WorkerPool,
+        items: &[T],
+        max_workers: usize,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let out = pool.map(items, max_workers, f);
+        out.into_iter()
+            .map(|r| r.expect("no item panics"))
+            .collect()
+    }
+
     #[test]
     fn map_preserves_item_order() {
         let pool = WorkerPool::new(3);
         let items: Vec<u64> = (0..257).collect();
-        let out = pool.map(&items, 4, |i, &x| {
+        let out = map_ok(&pool, &items, 4, |i, &x| {
             assert_eq!(i as u64, x);
             x * 3
         });
@@ -387,7 +357,7 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let reference: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xA5).collect();
         for workers in [1, 2, 4, 8, 64] {
-            let out = pool.map(&items, workers, |_, &x| x.wrapping_mul(x) ^ 0xA5);
+            let out = map_ok(&pool, &items, workers, |_, &x| x.wrapping_mul(x) ^ 0xA5);
             assert_eq!(out, reference, "workers = {workers}");
         }
     }
@@ -396,7 +366,7 @@ mod tests {
     fn every_item_runs_exactly_once() {
         let pool = WorkerPool::new(3);
         let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        pool.map(&(0..500usize).collect::<Vec<_>>(), 4, |_, &i| {
+        map_ok(&pool, &(0..500usize).collect::<Vec<_>>(), 4, |_, &i| {
             hits[i].fetch_add(1, Ordering::Relaxed)
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -406,7 +376,7 @@ mod tests {
     fn background_workers_actually_participate() {
         let pool = WorkerPool::new(2);
         // Many slow-ish items so parked workers have time to wake and join.
-        let ids = pool.map(&[(); 64], 3, |_, ()| {
+        let ids = map_ok(&pool, &[(); 64], 3, |_, ()| {
             std::thread::sleep(std::time::Duration::from_millis(2));
             format!("{:?}", std::thread::current().id())
         });
@@ -419,7 +389,7 @@ mod tests {
     #[test]
     fn serial_pool_still_completes() {
         let pool = WorkerPool::new(0);
-        let out = pool.map(&[10u64, 20, 30], 8, |_, &x| x + 1);
+        let out = map_ok(&pool, &[10u64, 20, 30], 8, |_, &x| x + 1);
         assert_eq!(out, vec![11, 21, 31]);
     }
 
@@ -427,46 +397,16 @@ mod tests {
     fn pool_is_reusable_across_batches() {
         let pool = WorkerPool::new(2);
         for round in 0..20u64 {
-            let out = pool.map(&[round, round + 1], 3, |_, &x| x * 2);
+            let out = map_ok(&pool, &[round, round + 1], 3, |_, &x| x * 2);
             assert_eq!(out, vec![round * 2, round * 2 + 2]);
         }
     }
 
     #[test]
-    #[should_panic(expected = "boom at 3")]
-    fn worker_panics_reach_the_dispatcher() {
+    fn panics_fail_only_their_own_item() {
         let pool = WorkerPool::new(2);
         let items: Vec<usize> = (0..32).collect();
-        let _ = pool.map(&items, 3, |_, &i| {
-            if i == 3 {
-                panic!("boom at {i}");
-            }
-            i
-        });
-    }
-
-    #[test]
-    fn pool_survives_a_panicking_batch() {
-        let pool = WorkerPool::new(2);
-        let panicky = catch_unwind(AssertUnwindSafe(|| {
-            pool.map(&[0usize, 1, 2], 3, |_, &i| {
-                if i == 1 {
-                    panic!("transient");
-                }
-                i
-            })
-        }));
-        assert!(panicky.is_err());
-        // The pool must still dispatch cleanly afterwards.
-        let out = pool.map(&[5usize, 6], 3, |_, &i| i * 10);
-        assert_eq!(out, vec![50, 60]);
-    }
-
-    #[test]
-    fn map_catch_contains_panics_to_their_item() {
-        let pool = WorkerPool::new(2);
-        let items: Vec<usize> = (0..32).collect();
-        let out = pool.map_catch(&items, 3, |_, &i| {
+        let out = pool.map(&items, 3, |_, &i| {
             if i % 7 == 3 {
                 panic!("unlucky {i}");
             }
@@ -480,13 +420,13 @@ mod tests {
             }
         }
         // The pool is immediately reusable — no poisoning, no re-raise.
-        assert_eq!(pool.map(&[4u64], 3, |_, &x| x + 1), vec![5]);
+        assert_eq!(pool.map(&[4u64], 3, |_, &x| x + 1), vec![Ok(5)]);
     }
 
     #[test]
-    fn map_catch_serial_path_also_contains() {
+    fn serial_path_also_contains_panics() {
         let pool = WorkerPool::new(0);
-        let out = pool.map_catch(&[1u32, 2], 1, |_, &x| {
+        let out = pool.map(&[1u32, 2], 1, |_, &x| {
             if x == 1 {
                 panic!("first");
             }
@@ -516,7 +456,7 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let pool = WorkerPool::new(1);
-        let out: Vec<u32> = pool.map(&[] as &[u32], 4, |_, &x| x);
+        let out = pool.map(&[] as &[u32], 4, |_, &x| x);
         assert!(out.is_empty());
     }
 

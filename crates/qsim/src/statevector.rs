@@ -59,13 +59,6 @@ impl StateVector {
         StateVector { num_qubits, amps }
     }
 
-    /// Wraps an existing amplitude buffer (used by the trajectory executor
-    /// to expose a scratch state without copying).
-    pub(crate) fn from_amplitudes(num_qubits: u32, amps: Vec<C64>) -> Self {
-        assert_eq!(amps.len(), 1usize << num_qubits, "dimension mismatch");
-        StateVector { num_qubits, amps }
-    }
-
     /// Number of qubits.
     pub fn num_qubits(&self) -> u32 {
         self.num_qubits

@@ -39,6 +39,24 @@ fn zero_shots_is_a_clean_cli_error() {
 }
 
 #[test]
+fn oversized_shot_budget_is_a_usage_error() {
+    let qasm = ghz_file("oversized_shot_budget_is_a_usage_error");
+    let out = run_cli(&[
+        "run",
+        qasm.to_str().unwrap(),
+        "--shots",
+        "18446744073709551615",
+    ]);
+    let _ = std::fs::remove_file(&qasm);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--shots") && stderr.contains("shots must be at most 1073741824"),
+        "stderr was: {stderr}"
+    );
+}
+
+#[test]
 fn zero_threads_is_a_clean_cli_error() {
     let qasm = ghz_file("zero_threads_is_a_clean_cli_error");
     let out = run_cli(&[
