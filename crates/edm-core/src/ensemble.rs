@@ -172,6 +172,8 @@ pub fn diversify_detailed(
 
     // Score every embedding off one compiled term list, keeping only its
     // ESP and assignment; circuits are built for the chosen members alone.
+    // The pool's floor is the search's bar: an embedding whose ESP bound
+    // is below it would be dropped anyway, so it is left unscored.
     // Enumerate on the quarantine-masked view first; quarantine is
     // advisory, so fall back to the full device rather than return zero
     // embeddings.
@@ -269,15 +271,20 @@ impl Pool {
         }
     }
 
-    fn offer(&mut self, assignment: &[u32], esp: f64) {
+    /// Keeps a candidate unless it is below the ratio of the running
+    /// best, and returns the new floor: the ESP below which no later
+    /// candidate is kept (`0.0` without a ratio).
+    fn offer(&mut self, assignment: &[u32], esp: f64) -> f64 {
         // The best only rises, so a candidate below the ratio of the
         // running best would fail the final filter too.
-        if self.min_esp_ratio > 0.0 && esp < self.min_esp_ratio * self.best {
-            return;
+        let floor = self.min_esp_ratio * self.best;
+        if self.min_esp_ratio > 0.0 && esp < floor {
+            return floor;
         }
         self.best = self.best.max(esp);
         self.esps.push(esp);
         self.assignments.extend_from_slice(assignment);
+        self.min_esp_ratio.max(0.0) * self.best
     }
 
     /// The candidates within `min_esp_ratio` of the best, stable-sorted

@@ -1,8 +1,10 @@
 //! `edm_qmap_esp_scored_total` counts the embeddings scored by an ESP term
-//! list: one per embedding the placement search visits, plus one per
-//! embedding of the ensemble candidate search. The counter is process-wide,
-//! so this binary holds exactly one test: no concurrently running test can
-//! move it.
+//! list and `edm_qmap_esp_pruned_total` what the ESP bound saved. The
+//! uncapped placement search scores every embedding it reaches and cuts
+//! the rest as partial placements; the capped candidate search reaches
+//! every embedding the unbounded one does and either scores it or leaves
+//! it unscored. The counters are process-wide, so this binary holds
+//! exactly one test: no concurrently running test can move them.
 
 use edm_core::{diversify, EnsembleConfig};
 use edm_telemetry::metrics::registry;
@@ -11,8 +13,20 @@ use qdevice::mapper::{self, MapperSelection};
 use qdevice::{presets, DeviceModel, Topology};
 use qmap::{placement, Transpiler};
 
-fn scored() -> u64 {
-    registry().counter("edm_qmap_esp_scored_total", "").get()
+/// `(scored, pruned, reached)`: the ESP counters and the embeddings VF2
+/// handed out.
+fn counts() -> [u64; 3] {
+    [
+        "edm_qmap_esp_scored_total",
+        "edm_qmap_esp_pruned_total",
+        "edm_qdevice_vf2_embeddings_total",
+    ]
+    .map(|name| registry().counter(name, "").get())
+}
+
+fn since(before: [u64; 3]) -> [u64; 3] {
+    let now = counts();
+    [0, 1, 2].map(|i| now[i] - before[i])
 }
 
 /// The footprint pattern `diversify` enumerates: the physical circuit's
@@ -32,7 +46,7 @@ fn footprint(physical: &Circuit, num_qubits: u32) -> Topology {
 }
 
 #[test]
-fn transpile_and_diversify_score_each_enumerated_embedding_once() {
+fn transpile_and_diversify_account_for_each_embedding_once() {
     edm_telemetry::set_enabled(true);
     let device = DeviceModel::synthesize(presets::melbourne14(), 31);
     let cal = device.calibration();
@@ -42,10 +56,12 @@ fn transpile_and_diversify_score_each_enumerated_embedding_once() {
     let mut ghz = Circuit::new(4, 4);
     ghz.h(0).cx(0, 1).cx(1, 2).cx(2, 3).measure_all();
 
-    let before = scored();
+    let before = counts();
     let baseline = transpiler.transpile(&ghz).expect("transpiles");
+    let [placed, cut, reached] = since(before);
+    let before = counts();
     let members = diversify(&transpiler, &baseline.physical, &config).expect("diversifies");
-    let delta = scored() - before;
+    let [ranked, unscored, visited] = since(before);
     assert_eq!(members.len(), config.size);
 
     let placements = mapper::enumerate_embeddings(
@@ -62,8 +78,12 @@ fn transpile_and_diversify_score_each_enumerated_embedding_once() {
     );
     assert!(placements.is_complete() && candidates.is_complete());
     assert!(!placements.embeddings.is_empty());
-    assert_eq!(
-        delta,
-        (placements.embeddings.len() + candidates.embeddings.len()) as u64
-    );
+    // The uncapped placement search scores what it reaches and cuts the
+    // rest before reaching it.
+    assert_eq!(placed, reached);
+    assert!(placed < placements.embeddings.len() as u64 && cut > 0);
+    // The capped candidate search reaches every embedding once.
+    assert_eq!(visited, candidates.embeddings.len() as u64);
+    assert_eq!(ranked + unscored, visited);
+    assert!(unscored > 0);
 }

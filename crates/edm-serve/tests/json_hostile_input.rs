@@ -254,3 +254,40 @@ fn extreme_numbers_in_request_fields_are_values_or_errors() {
         }
     }
 }
+
+/// Text a client may mean as an integer that is not one in JSON: a float,
+/// even an integer-valued one, a number past `u64::MAX`, leading zeros, a
+/// bare point. Each is refused with an error line, never read as some
+/// other id (`1e19` and `18446744073709551616` once became `u64::MAX`,
+/// `007` became 7).
+#[test]
+fn integer_fields_refuse_floats_and_malformed_numbers() {
+    for n in [
+        "1e19",
+        "18446744073709551616",
+        "007",
+        "1.",
+        "1.0",
+        "1e0",
+        "00",
+        "-",
+        "-1",
+    ] {
+        let line = format!(r#"{{"Poll":{{"id":{n}}}}}"#);
+        let err = serde_json::from_str::<Request>(&line).expect_err(&line);
+        let reply = serde_json::to_string(&Response::Error {
+            reason: format!("bad request line: {err}"),
+        })
+        .expect("an error line encodes");
+        assert!(
+            reply.starts_with(r#"{"Error":{"reason":"bad request line: "#),
+            "{line}: {reply}"
+        );
+        let submit =
+            format!(r#"{{"Submit":{{"qasm":"","shots":{n},"seed":1,"priority":"Normal"}}}}"#);
+        assert!(
+            serde_json::from_str::<Request>(&submit).is_err(),
+            "{submit}"
+        );
+    }
+}

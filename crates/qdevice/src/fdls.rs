@@ -45,7 +45,7 @@
 //! assert!(set.embeddings.len() >= 5);
 //! ```
 
-use crate::mapper::SearchOutcome;
+use crate::mapper::{SearchOutcome, Weights};
 use crate::vf2::{self, Adjacency};
 use crate::Topology;
 
@@ -103,12 +103,28 @@ pub fn for_each(
     config: &FdlsConfig,
     visit: impl FnMut(&[u32]),
 ) -> SearchOutcome {
+    let selection = crate::mapper::MapperSelection::Filtered(*config);
+    crate::mapper::for_each_embedding(pattern, target, max_results, selection, visit)
+}
+
+/// [`for_each`] handing each embedding's running product of `weights` to
+/// `visit`; see [`crate::mapper::for_each_weighted`], which dispatches
+/// here. The budgets count every node, so nothing is cut and the cut
+/// `visit` returns is ignored.
+pub(crate) fn run<W: Weights>(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    config: &FdlsConfig,
+    weights: &W,
+    visit: impl FnMut(&[u32], f64) -> f64,
+) -> SearchOutcome {
     let _span = edm_telemetry::trace::span("fdls_search");
     let (outcome, visited) = edm_telemetry::histogram!(
         "edm_qdevice_fdls_us",
         "Wall time of one FDLS embedding search"
     )
-    .time(|| search_inner(pattern, target, max_results, config, visit));
+    .time(|| search_inner(pattern, target, max_results, config, weights, visit));
     edm_telemetry::counter!(
         "edm_qdevice_fdls_embeddings_total",
         "Embeddings produced by FDLS searches"
@@ -126,11 +142,12 @@ pub fn for_each(
 
 /// Runs the search, returning its outcome and the number of embeddings
 /// visited.
-fn search_inner<F: FnMut(&[u32])>(
+fn search_inner<W: Weights, F: FnMut(&[u32], f64) -> f64>(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     config: &FdlsConfig,
+    weights: &W,
     mut visit: F,
 ) -> (SearchOutcome, usize) {
     let pn = pattern.num_qubits() as usize;
@@ -139,7 +156,7 @@ fn search_inner<F: FnMut(&[u32])>(
         if max_results == 0 {
             return (SearchOutcome::Complete, 0);
         }
-        visit(&[]);
+        visit(&[], 1.0);
         return (SearchOutcome::Complete, 1);
     }
     if pn > tn {
@@ -185,6 +202,7 @@ fn search_inner<F: FnMut(&[u32])>(
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
         visit,
+        weights,
         found: 0,
         max_results,
         limit: max_results.saturating_add(1),
@@ -213,9 +231,10 @@ fn search_inner<F: FnMut(&[u32])>(
             }
             continue;
         }
+        let product = weights.place(root_v, root, &s.mapping);
         s.mapping[root_v as usize] = root;
         s.used[root as usize] = true;
-        s.dfs(1);
+        s.dfs(1, product);
         s.used[root as usize] = false;
         s.mapping[root_v as usize] = u32::MAX;
     }
@@ -247,7 +266,7 @@ fn dominates(target_sig: &[usize], pattern_sig: &[usize]) -> bool {
     pattern_sig.len() <= target_sig.len() && pattern_sig.iter().zip(target_sig).all(|(p, t)| p <= t)
 }
 
-struct Search<'a, F> {
+struct Search<'a, W, F> {
     pattern: &'a Adjacency,
     target: &'a Adjacency,
     order: &'a [u32],
@@ -256,6 +275,7 @@ struct Search<'a, F> {
     mapping: Vec<u32>,
     used: Vec<bool>,
     visit: F,
+    weights: &'a W,
     /// Complete embeddings found so far (visited or not).
     found: usize,
     /// Embeddings handed to `visit`; the next one only proves truncation.
@@ -273,7 +293,7 @@ struct Search<'a, F> {
     truncated: bool,
 }
 
-impl<F: FnMut(&[u32])> Search<'_, F> {
+impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
     /// Counts one node expansion against both budgets. Returns false (and
     /// raises the corresponding flags) when a budget is exhausted.
     fn charge_expansion(&mut self) -> bool {
@@ -292,11 +312,13 @@ impl<F: FnMut(&[u32])> Search<'_, F> {
         true
     }
 
-    fn dfs(&mut self, depth: usize) {
+    /// Searches below a partial embedding of `depth` vertices whose
+    /// running product is `product`.
+    fn dfs(&mut self, depth: usize, product: f64) {
         if depth == self.order.len() {
             self.found += 1;
             if self.found <= self.max_results {
-                (self.visit)(&self.mapping);
+                (self.visit)(&self.mapping, product);
             }
             if self.found >= self.limit {
                 self.truncated = true;
@@ -319,14 +341,17 @@ impl<F: FnMut(&[u32])> Search<'_, F> {
         match mapped_neighbor {
             Some(u) => {
                 for &t in target.neighbors(self.mapping[u as usize]) {
-                    if !self.used[t as usize] && mask[t as usize] && !self.expand(depth, v, t) {
+                    if !self.used[t as usize]
+                        && mask[t as usize]
+                        && !self.expand(depth, v, t, product)
+                    {
                         return;
                     }
                 }
             }
             None => {
                 for &t in &cand_list[v as usize] {
-                    if !self.used[t as usize] && !self.expand(depth, v, t) {
+                    if !self.used[t as usize] && !self.expand(depth, v, t, product) {
                         return;
                     }
                 }
@@ -337,7 +362,7 @@ impl<F: FnMut(&[u32])> Search<'_, F> {
     /// Places pattern vertex `v` on target `t` if it is adjacency-
     /// consistent and searches below it. Returns false once this level
     /// must stop (global stop, root abandoned, or backtrack limit).
-    fn expand(&mut self, depth: usize, v: u32, t: u32) -> bool {
+    fn expand(&mut self, depth: usize, v: u32, t: u32, product: f64) -> bool {
         for &u in self.pattern.neighbors(v) {
             let img = self.mapping[u as usize];
             if img != u32::MAX && !self.target.has_edge(t, img) {
@@ -347,9 +372,10 @@ impl<F: FnMut(&[u32])> Search<'_, F> {
         if !self.charge_expansion() {
             return false;
         }
+        let product = product * self.weights.place(v, t, &self.mapping);
         self.mapping[v as usize] = t;
         self.used[t as usize] = true;
-        self.dfs(depth + 1);
+        self.dfs(depth + 1, product);
         self.used[t as usize] = false;
         self.mapping[v as usize] = u32::MAX;
         if self.stop || self.abandon {

@@ -144,13 +144,64 @@ pub fn for_each_embedding(
     target: &Topology,
     max_results: usize,
     selection: MapperSelection,
-    visit: impl FnMut(&[u32]),
+    mut visit: impl FnMut(&[u32]),
 ) -> SearchOutcome {
+    let visit = |phi: &[u32], _| {
+        visit(phi);
+        0.0
+    };
+    for_each_weighted(pattern, target, max_results, selection, &Unweighted, visit).0
+}
+
+/// The factors of a product score over embeddings, placement by placement.
+///
+/// Every factor must lie in `[0, 1]`: the running product of a partial
+/// embedding then bounds the product of every completion of it, which is
+/// what lets [`for_each_weighted`] cut subtrees.
+pub trait Weights {
+    /// The factor placing pattern vertex `v` on target qubit `t` adds,
+    /// given the partial `mapping` (`u32::MAX` where a vertex is not yet
+    /// placed; `v` itself is not): `v`'s own factor times one factor per
+    /// pattern edge to an already placed neighbour.
+    fn place(&self, v: u32, t: u32, mapping: &[u32]) -> f64;
+}
+
+/// Every factor 1: the plain search.
+struct Unweighted;
+
+impl Weights for Unweighted {
+    #[inline]
+    fn place(&self, _: u32, _: u32, _: &[u32]) -> f64 {
+        1.0
+    }
+}
+
+/// [`for_each_embedding`] carrying the running product of `weights` down
+/// the search tree: each embedding reaches `visit` with its product, and
+/// `visit` returns the *cut*, the product below which no later embedding
+/// counts for the caller (`0.0` keeps every one).
+///
+/// Subtrees are cut only where nothing counts the embeddings below them:
+/// exhaustive VF2 with no result cap (`max_results == usize::MAX`). There
+/// a placement whose running product falls below the cut is not extended,
+/// and the returned count is the number of such placements. Under a result
+/// cap or FDLS budgets nothing is cut, so the enumeration order, the cap
+/// point and `explored` stay those of [`for_each_embedding`]; the caller
+/// applies the cut to the products it is handed, and the count is zero.
+pub fn for_each_weighted<W: Weights>(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    selection: MapperSelection,
+    weights: &W,
+    visit: impl FnMut(&[u32], f64) -> f64,
+) -> (SearchOutcome, u64) {
     match selection.resolve(target) {
-        MapperSelection::Exhaustive => vf2::for_each(pattern, target, max_results, visit),
-        MapperSelection::Filtered(config) => {
-            fdls::for_each(pattern, target, max_results, &config, visit)
-        }
+        MapperSelection::Exhaustive => vf2::run(pattern, target, max_results, weights, visit),
+        MapperSelection::Filtered(config) => (
+            fdls::run(pattern, target, max_results, &config, weights, visit),
+            0,
+        ),
         MapperSelection::Auto => unreachable!("resolve never returns Auto"),
     }
 }

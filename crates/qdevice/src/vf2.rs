@@ -12,7 +12,7 @@
 //! but extra target edges between mapped vertices are allowed — exactly what
 //! qubit mapping needs.
 
-use crate::mapper::SearchOutcome;
+use crate::mapper::{SearchOutcome, Weights};
 use crate::Topology;
 
 /// Hands each injective mapping `phi` from pattern vertices to target
@@ -35,12 +35,31 @@ pub fn for_each(
     max_results: usize,
     visit: impl FnMut(&[u32]),
 ) -> SearchOutcome {
+    crate::mapper::for_each_embedding(
+        pattern,
+        target,
+        max_results,
+        crate::mapper::MapperSelection::Exhaustive,
+        visit,
+    )
+}
+
+/// [`for_each`] with a running product of `weights`; see
+/// [`crate::mapper::for_each_weighted`], which dispatches here. Returns
+/// the outcome and the number of placements cut.
+pub(crate) fn run<W: Weights>(
+    pattern: &Topology,
+    target: &Topology,
+    max_results: usize,
+    weights: &W,
+    visit: impl FnMut(&[u32], f64) -> f64,
+) -> (SearchOutcome, u64) {
     let _span = edm_telemetry::trace::span("vf2_enumerate");
-    let (outcome, visited) = edm_telemetry::histogram!(
+    let (outcome, visited, pruned) = edm_telemetry::histogram!(
         "edm_qdevice_vf2_us",
         "Wall time of one VF2 subgraph-isomorphism enumeration"
     )
-    .time(|| search(pattern, target, max_results, visit));
+    .time(|| search(pattern, target, max_results, weights, visit));
     edm_telemetry::counter!(
         "edm_qdevice_vf2_embeddings_total",
         "Embeddings produced by VF2 enumeration"
@@ -53,28 +72,29 @@ pub fn for_each(
         )
         .inc();
     }
-    outcome
+    (outcome, pruned)
 }
 
-/// Runs the search, returning its outcome and the number of embeddings
-/// visited.
-fn search<F: FnMut(&[u32])>(
+/// Runs the search, returning its outcome, the number of embeddings
+/// visited and the number of placements cut.
+fn search<W: Weights, F: FnMut(&[u32], f64) -> f64>(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
+    weights: &W,
     mut visit: F,
-) -> (SearchOutcome, usize) {
+) -> (SearchOutcome, usize, u64) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
     if pn == 0 {
         if max_results == 0 {
-            return (SearchOutcome::Complete, 0);
+            return (SearchOutcome::Complete, 0, 0);
         }
-        visit(&[]);
-        return (SearchOutcome::Complete, 1);
+        visit(&[], 1.0);
+        return (SearchOutcome::Complete, 1, 0);
     }
     if pn > tn {
-        return (SearchOutcome::Complete, 0);
+        return (SearchOutcome::Complete, 0, 0);
     }
 
     // Search one past the cap: finding max_results + 1 embeddings proves
@@ -87,12 +107,18 @@ fn search<F: FnMut(&[u32])>(
         mapping: vec![u32::MAX; pn],
         used: vec![false; tn],
         visit,
+        weights,
+        // Only an uncapped search may skip embeddings: under a cap the
+        // skipped ones would still count towards it.
+        prunes: max_results == usize::MAX,
+        cut: 0.0,
+        pruned: 0,
         found: 0,
         max_results,
         limit: max_results.saturating_add(1),
         nodes: 0,
     };
-    state.search(0);
+    state.search(0, 1.0);
     let visited = state.found.min(max_results);
     let outcome = if state.found > max_results {
         SearchOutcome::Truncated {
@@ -101,7 +127,7 @@ fn search<F: FnMut(&[u32])>(
     } else {
         SearchOutcome::Complete
     };
-    (outcome, visited)
+    (outcome, visited, state.pruned)
 }
 
 /// Computes a matching order: vertices sorted so that every vertex after the
@@ -194,13 +220,21 @@ impl Adjacency {
     }
 }
 
-struct State<'a, F> {
+struct State<'a, W, F> {
     pattern: &'a Adjacency,
     target: &'a Adjacency,
     order: Vec<u32>,
     mapping: Vec<u32>,
     used: Vec<bool>,
     visit: F,
+    weights: &'a W,
+    /// Whether a placement whose running product falls below `cut` is
+    /// left unextended.
+    prunes: bool,
+    /// The cut `visit` last returned.
+    cut: f64,
+    /// Placements left unextended.
+    pruned: u64,
     /// Complete embeddings found so far (visited or not).
     found: usize,
     /// Embeddings handed to `visit`; the next one only proves truncation.
@@ -211,15 +245,17 @@ struct State<'a, F> {
     nodes: u64,
 }
 
-impl<F: FnMut(&[u32])> State<'_, F> {
-    fn search(&mut self, depth: usize) {
+impl<W: Weights, F: FnMut(&[u32], f64) -> f64> State<'_, W, F> {
+    /// Searches below a partial embedding of `depth` vertices whose
+    /// running product is `product`.
+    fn search(&mut self, depth: usize, product: f64) {
         if self.found >= self.limit {
             return;
         }
         if depth == self.order.len() {
             self.found += 1;
             if self.found <= self.max_results {
-                (self.visit)(&self.mapping);
+                self.cut = (self.visit)(&self.mapping, product);
             }
             return;
         }
@@ -239,14 +275,14 @@ impl<F: FnMut(&[u32])> State<'_, F> {
         match mapped_neighbor {
             Some(u) => {
                 for &t in target.neighbors(self.mapping[u as usize]) {
-                    if !self.used[t as usize] && !self.try_place(depth, v, t) {
+                    if !self.used[t as usize] && !self.try_place(depth, v, t, product) {
                         return;
                     }
                 }
             }
             None => {
                 for t in 0..target.num_qubits() {
-                    if !self.used[t as usize] && !self.try_place(depth, v, t) {
+                    if !self.used[t as usize] && !self.try_place(depth, v, t, product) {
                         return;
                     }
                 }
@@ -256,7 +292,7 @@ impl<F: FnMut(&[u32])> State<'_, F> {
 
     /// Places pattern vertex `v` on target `t` if feasible and searches
     /// below it. Returns false once the search must stop.
-    fn try_place(&mut self, depth: usize, v: u32, t: u32) -> bool {
+    fn try_place(&mut self, depth: usize, v: u32, t: u32, product: f64) -> bool {
         // Feasibility: degree and full adjacency consistency.
         if self.target.degree(t) < self.pattern.degree(v) {
             return true;
@@ -267,10 +303,15 @@ impl<F: FnMut(&[u32])> State<'_, F> {
                 return true;
             }
         }
+        let product = product * self.weights.place(v, t, &self.mapping);
+        if self.prunes && product < self.cut {
+            self.pruned += 1;
+            return true;
+        }
         self.nodes += 1;
         self.mapping[v as usize] = t;
         self.used[t as usize] = true;
-        self.search(depth + 1);
+        self.search(depth + 1, product);
         self.used[t as usize] = false;
         self.mapping[v as usize] = u32::MAX;
         self.found < self.limit

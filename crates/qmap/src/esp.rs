@@ -12,7 +12,7 @@
 
 use crate::MapError;
 use qcir::{Circuit, Gate, Qubit};
-use qdevice::Calibration;
+use qdevice::{mapper, Calibration, Topology};
 
 /// Computes the ESP of a *physical* circuit under a calibration.
 ///
@@ -185,6 +185,119 @@ impl Scorer {
         }
         self.cx[(a * n + b) as usize]
     }
+
+    /// The term list regrouped into search factors for embeddings of
+    /// `pattern` into `target`; see [`Bound`].
+    pub(crate) fn bound(&self, pattern: &Topology, target: &Topology) -> Bound<'_> {
+        let (pn, n, tn) = (pattern.num_qubits(), self.num_qubits, target.num_qubits());
+        let mut gates = vec![(0i32, 0i32); pn as usize];
+        let mut partners: Vec<Vec<(u32, i32)>> = vec![Vec::new(); pn as usize];
+        // Scoring fails for every embedding, or for some embeddings of
+        // this pattern into this target: nothing may then be skipped.
+        let mut fallible = self.unsupported.is_some() || self.width > n || tn > n;
+        for &term in &self.terms {
+            match term {
+                Term::Gate1q(q) if q < pn => gates[q as usize].0 += 1,
+                Term::Measure(q) if q < pn => gates[q as usize].1 += 1,
+                Term::Cx(a, b) if pattern.has_edge(a, b) => {
+                    for (v, u) in [(a, b), (b, a)] {
+                        let list = &mut partners[v as usize];
+                        match list.iter_mut().find(|(w, _)| *w == u) {
+                            Some((_, count)) => *count += 1,
+                            None => list.push((u, 1)),
+                        }
+                    }
+                }
+                // A CX off the pattern's edges may land on an uncoupled
+                // pair. Other terms out of range only drop a factor.
+                Term::Cx(..) => fallible = true,
+                _ => {}
+            }
+        }
+        fallible |= target.edges().iter().any(|e| {
+            self.cx_success(e.lo(), e.hi())
+                .is_none_or(|s| !(0.0..=1.0).contains(&s))
+        });
+        // Qubits past the calibration keep factor 1; scoring there fails.
+        let mut vertex = vec![1.0; (pn * tn) as usize];
+        for (v, &(g, m)) in gates.iter().enumerate() {
+            for t in 0..tn.min(n) as usize {
+                vertex[v * tn as usize + t] = self.gate_1q[t].powi(g) * self.readout[t].powi(m);
+            }
+        }
+        fallible |= vertex.iter().any(|f| !(0.0..=1.0).contains(f));
+        Bound {
+            scorer: self,
+            targets: tn,
+            vertex,
+            partners,
+            slack: BOUND_SLACK.max(4.0 * (self.terms.len() + 1) as f64 * f64::EPSILON),
+            fallible,
+        }
+    }
+}
+
+/// The relative margin below a bar that a bound must clear before an
+/// embedding is skipped. The bound multiplies the same factors as
+/// [`Scorer::score`] in another order, so the two round differently; the
+/// margin widens with the term count to keep covering that.
+const BOUND_SLACK: f64 = 1e-12;
+
+/// A [`Scorer`]'s term list regrouped into factors an embedding search can
+/// multiply as it places vertices: per pattern vertex, the 1q-gate and
+/// readout success of the qubit it lands on (one factor per term), and per
+/// pattern edge, the CX success of the coupling it lands on, raised to its
+/// CX count.
+///
+/// Every factor is a success rate in `[0, 1]`, so the running product of
+/// a partial embedding bounds the ESP of every completion. A caller ranking
+/// by ESP turns its running bar into a cut ([`Bound::cut`]) and skips what
+/// falls below it; every ESP it keeps still comes from [`Scorer::score`].
+#[derive(Debug, Clone)]
+pub(crate) struct Bound<'a> {
+    scorer: &'a Scorer,
+    /// Qubit count of the target.
+    targets: u32,
+    /// `pattern × target`: the 1q-gate and readout factor of each pattern
+    /// vertex on each qubit.
+    vertex: Vec<f64>,
+    /// Per pattern vertex: its CX partners and the CX count of each pair.
+    partners: Vec<Vec<(u32, i32)>>,
+    /// Relative margin below a bar before anything is cut.
+    slack: f64,
+    /// Whether scoring some embedding could fail: an unsupported gate, a
+    /// circuit wider than the calibration, an uncalibrated coupling in the
+    /// target, or a rate outside `[0, 1]`. Skipping nothing then keeps the
+    /// first error in enumeration order where it is.
+    fallible: bool,
+}
+
+impl Bound<'_> {
+    /// The product below which an embedding cannot reach `bar` (an ESP
+    /// the caller no longer counts below): `bar` less the rounding slack,
+    /// or `0.0` (skip nothing) when scoring could fail or `bar` is not a
+    /// normal positive number.
+    pub(crate) fn cut(&self, bar: f64) -> f64 {
+        if self.fallible || bar.is_nan() || bar < f64::MIN_POSITIVE {
+            return 0.0;
+        }
+        bar * (1.0 - self.slack)
+    }
+}
+
+impl mapper::Weights for Bound<'_> {
+    #[inline]
+    fn place(&self, v: u32, t: u32, mapping: &[u32]) -> f64 {
+        let mut factor = self.vertex[(v * self.targets + t) as usize];
+        for &(u, count) in &self.partners[v as usize] {
+            let tu = mapping[u as usize];
+            if tu != u32::MAX {
+                // An uncalibrated pair only arises when the bound is off.
+                factor *= self.scorer.cx_success(t, tu).unwrap_or(1.0).powi(count);
+            }
+        }
+        factor
+    }
 }
 
 /// ESP restricted to the measurement terms only — useful when comparing
@@ -281,6 +394,38 @@ mod tests {
         c.cx(0, 1).measure(0, 0);
         let got = measurement_esp(&c, &cal3()).unwrap();
         assert!((got - 0.95).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bound_products_bound_the_score_and_fallible_lists_cut_nothing() {
+        use qdevice::mapper::Weights;
+        let cal = cal3();
+        let mut c = Circuit::new(2, 2);
+        c.h(0).cx(0, 1).cx(1, 0).measure_all();
+        let pattern = Topology::new(2, &[(0, 1)]);
+        let target = Topology::new(3, &[(0, 1), (1, 2)]);
+        let scorer = Scorer::new(&c, 3, Qubit::index, &cal);
+        let bound = scorer.bound(&pattern, &target);
+        // Place 0 → Q1, then 1 → Q2: every term is counted once, the CX
+        // pair as one factor squared.
+        let mut mapping = [u32::MAX; 2];
+        let first = bound.place(0, 1, &mapping);
+        mapping[0] = 1;
+        let product = first * bound.place(1, 2, &mapping);
+        let esp = scorer.score(|p| [1, 2][p as usize]).unwrap();
+        assert!(first >= product);
+        assert!((product - esp).abs() <= 1e-15, "{product} vs {esp}");
+        assert_eq!(bound.cut(0.5), 0.5 * (1.0 - BOUND_SLACK));
+        assert_eq!(bound.cut(0.0), 0.0);
+        assert_eq!(bound.cut(f64::MIN_POSITIVE / 2.0), 0.0);
+        // An uncalibrated coupling in the target cuts nothing...
+        let ring = Topology::new(3, &[(0, 1), (1, 2), (0, 2)]);
+        assert_eq!(scorer.bound(&pattern, &ring).cut(0.5), 0.0);
+        // ...nor does a gate outside the basis.
+        let mut swap = c.clone();
+        swap.swap(0, 1);
+        let scorer = Scorer::new(&swap, 3, Qubit::index, &cal);
+        assert_eq!(scorer.bound(&pattern, &target).cut(0.5), 0.0);
     }
 
     #[test]

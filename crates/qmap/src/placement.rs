@@ -3,14 +3,20 @@
 //! Two engines are provided:
 //!
 //! - swap-free placement: the circuit's interaction graph is embedded into
-//!   the coupling graph and every embedding is scored by ESP. This is both
+//!   the coupling graph and the embeddings are ranked by ESP. This is both
 //!   the paper's "brute force search to check the optimality of the
 //!   mapping" (§5.2) and the engine EDM uses to pick its top-K diverse
 //!   mappings. Embeddings are streamed through [`score_embeddings`], which
 //!   scores each one off a compiled [`esp::Scorer`] term list instead of
 //!   building its relabeled circuit: [`best_swap_free_placement_with`]
 //!   keeps a running argmax, and EDM's `diversify_detailed` keeps the
-//!   top-K pool.
+//!   top-K pool. The search is branch-and-bound on ESP: each caller's
+//!   running bar (the best so far, or the pool's floor) and the
+//!   ESP bound of a partial embedding let it skip embeddings that
+//!   cannot reach the bar. An uncapped exhaustive search cuts them as
+//!   subtrees; a capped or budgeted one reaches them as before and leaves
+//!   them unscored. Either way the result is bit for bit the unbounded
+//!   search's.
 //! - [`greedy_placement`]: a variation-aware greedy heuristic for circuits
 //!   whose interaction graph does not embed swap-free (routing will insert
 //!   SWAPs afterwards).
@@ -35,15 +41,29 @@ pub fn interaction_topology(circuit: &Circuit) -> Topology {
 /// Streams the embeddings of `pattern` into `target` (at most
 /// `max_embeddings`, in the mapper's enumeration order), scores each one
 /// `keep` accepts with `scorer`, and hands it to `visit` with its ESP.
+/// `visit` returns its *bar*: the ESP below which no later embedding
+/// counts for it (`0.0` when every one does).
+///
+/// The search carries the ESP bound of each partial embedding: the
+/// product of the success rates its placed vertices and edges contribute,
+/// which bounds the ESP of all its completions (see
+/// [`mapper::for_each_weighted`]). An embedding whose bound falls below
+/// the bar is never handed to `visit`: an uncapped exhaustive search does
+/// not even extend a partial embedding that low, any other search reaches
+/// it as before but leaves it unscored. So `visit` misses only embeddings
+/// whose ESP is certainly below its bar (a margin keeps ties), sees the
+/// rest in enumeration order, and the outcome is the unbounded search's.
 ///
 /// No embedding is stored and no circuit is built. Returns the search
-/// outcome and the number of embeddings scored; the scored count is also
-/// added to the `edm_qmap_esp_scored_total` work counter.
+/// outcome and the number of embeddings scored; the scored count is added
+/// to the `edm_qmap_esp_scored_total` work counter, and the placements
+/// cut plus the embeddings left unscored to `edm_qmap_esp_pruned_total`.
 ///
 /// # Errors
 ///
 /// The first scoring error in enumeration order (see [`esp::Scorer::score`]).
-/// The search still runs to its end, so its own counters are unaffected.
+/// Where scoring could fail the bound skips nothing, so that error is the
+/// unbounded search's. The search still runs to its end.
 pub fn score_embeddings(
     scorer: &esp::Scorer,
     pattern: &Topology,
@@ -51,25 +71,44 @@ pub fn score_embeddings(
     max_embeddings: usize,
     selection: MapperSelection,
     mut keep: impl FnMut(&[u32]) -> bool,
-    mut visit: impl FnMut(&[u32], f64),
+    mut visit: impl FnMut(&[u32], f64) -> f64,
 ) -> Result<(SearchOutcome, u64), MapError> {
-    let mut scored = 0u64;
+    let bound = scorer.bound(pattern, target);
+    let (mut scored, mut unscored) = (0u64, 0u64);
+    let mut cut = 0.0;
     let mut error = None;
-    let outcome = mapper::for_each_embedding(pattern, target, max_embeddings, selection, |phi| {
-        if error.is_some() || !keep(phi) {
-            return;
-        }
-        scored += 1;
-        match scorer.score(|p| phi[p as usize]) {
-            Ok(esp) => visit(phi, esp),
-            Err(e) => error = Some(e),
-        }
-    });
+    let (outcome, pruned) = mapper::for_each_weighted(
+        pattern,
+        target,
+        max_embeddings,
+        selection,
+        &bound,
+        |phi, product| {
+            if error.is_some() || !keep(phi) {
+                return cut;
+            }
+            if product < cut {
+                unscored += 1;
+                return cut;
+            }
+            scored += 1;
+            match scorer.score(|p| phi[p as usize]) {
+                Ok(esp) => cut = bound.cut(visit(phi, esp)),
+                Err(e) => error = Some(e),
+            }
+            cut
+        },
+    );
     edm_telemetry::counter!(
         "edm_qmap_esp_scored_total",
         "Embeddings scored by an ESP term list"
     )
     .add(scored);
+    edm_telemetry::counter!(
+        "edm_qmap_esp_pruned_total",
+        "Partial placements an ESP bound cut, plus embeddings it left unscored"
+    )
+    .add(pruned + unscored);
     match error {
         Some(e) => Err(e),
         None => Ok((outcome, scored)),
@@ -125,9 +164,12 @@ pub fn best_swap_free_placement_with(
 }
 
 /// The ESP-best swap-free placement among the embeddings `allowed`
-/// accepts. Every embedding is scored (so errors match a full ranking),
-/// and the strict `>` keeps the first maximum in enumeration order — the
-/// element a stable best-first sort would put first.
+/// accepts. Errors match a full ranking (where scoring could fail the
+/// bound skips nothing), and the strict `>` keeps the first maximum in
+/// enumeration order — the element a stable best-first sort would put
+/// first. The running best is the bar, so the search skips only
+/// embeddings whose ESP is certainly below it: ties with the best are
+/// still scored, and lose to it.
 pub(crate) fn best_placement_where(
     circuit: &Circuit,
     topology: &Topology,
@@ -143,8 +185,9 @@ pub(crate) fn best_placement_where(
     }
     let pattern = interaction_topology(circuit);
     let scorer = esp::Scorer::new(circuit, topology.num_qubits(), Qubit::index, cal);
-    // Ranking wants every embedding; under a budgeted engine the search
-    // itself bounds the pool instead of a result cap.
+    // Ranking wants every embedding the bound cannot rule out; under a
+    // budgeted engine the search itself bounds the pool instead of a
+    // result cap.
     let mut best: Option<(f64, Vec<u32>)> = None;
     let (outcome, _) = score_embeddings(
         &scorer,
@@ -157,6 +200,7 @@ pub(crate) fn best_placement_where(
             if best.as_ref().is_none_or(|(top, _)| esp > *top) && allowed(phi) {
                 best = Some((esp, phi.to_vec()));
             }
+            best.as_ref().map_or(0.0, |(top, _)| *top)
         },
     )?;
     if outcome != SearchOutcome::Complete {
@@ -311,7 +355,8 @@ mod tests {
                 ranked.push((
                     Layout::from_physical(phi.to_vec(), topology.num_qubits()),
                     esp,
-                ))
+                ));
+                0.0
             },
         )
         .unwrap();

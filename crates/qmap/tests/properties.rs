@@ -80,7 +80,8 @@ fn ranked(
             ranked.push((
                 Layout::from_physical(phi.to_vec(), topology.num_qubits()),
                 esp,
-            ))
+            ));
+            0.0
         },
     )
     .expect("ranks");
