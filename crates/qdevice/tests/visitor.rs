@@ -141,11 +141,50 @@ fn fingerprint(set: &EmbeddingSet) -> Fingerprint {
 /// ESP ties are broken by enumeration order, so the order is part of the
 /// mapping contract. These fingerprints were taken from the collecting
 /// search that predates the visitor; any change to the order, the cap
-/// point or the `explored` count shows up here.
+/// point or the `explored` count shows up here. The last three rows are
+/// the footprint patterns the `compile-scaling` benchmark's diversify
+/// step searches (its devices and calibrations, at its 200,000 cap where
+/// it applies one), pinned from the exhaustive VF2 search.
 #[test]
 fn enumeration_order_is_pinned() {
     let star = Topology::new(4, &[(0, 1), (0, 2), (0, 3)]);
     let isolated = Topology::new(3, &[(0, 1)]);
+    // ghz-12 as placed on tokyo20: a 12-qubit path, relabelled.
+    let ghz12 = Topology::new(
+        12,
+        &[
+            (0, 1),
+            (1, 6),
+            (2, 3),
+            (2, 5),
+            (3, 8),
+            (4, 7),
+            (4, 8),
+            (5, 9),
+            (6, 7),
+            (9, 10),
+            (10, 11),
+        ],
+    );
+    // qaoa-ring-10 as placed on tokyo20: a 10-cycle, relabelled.
+    let ring10 = Topology::new(
+        10,
+        &[
+            (0, 1),
+            (0, 4),
+            (1, 6),
+            (2, 3),
+            (2, 5),
+            (3, 8),
+            (4, 9),
+            (5, 9),
+            (6, 7),
+            (7, 8),
+        ],
+    );
+    // BV-6 with secret 0b100100 on melbourne14: a 2-leaf star plus the
+    // four idle data qubits as isolated vertices.
+    let bv6_sparse = Topology::new(7, &[(0, 1), (0, 6)]);
     let line = presets::line;
     let vf2 = |p: &Topology, t: &Topology, cap| mapper::enumerate_embeddings(p, t, cap, EXHAUSTIVE);
     let fdls_default = |p: &Topology, t: &Topology, cap| {
@@ -205,6 +244,21 @@ fn enumeration_order_is_pinned() {
             "fdls exhaustive isolated@falcon27",
             fdls_all(&isolated, &presets::falcon27()),
             (1400, 0xe3e1a125e26fc1d5, None),
+        ),
+        (
+            "vf2 ghz-12@tokyo20 cap 200000",
+            vf2(&ghz12, &presets::tokyo20(), 200_000),
+            (200_000, 0xb6a0a85653618df5, Some(430_079)),
+        ),
+        (
+            "vf2 qaoa-ring-10@tokyo20",
+            vf2(&ring10, &presets::tokyo20(), usize::MAX),
+            (40_240, 0x47dbcb1661558c9d, None),
+        ),
+        (
+            "vf2 bv-6-sparse@melbourne14 cap 200000",
+            vf2(&bv6_sparse, &presets::melbourne14(), 200_000),
+            (200_000, 0x4a2ea57516c058a4, Some(228_102)),
         ),
     ];
     for (label, set, want) in &cases {
