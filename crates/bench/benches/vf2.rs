@@ -1,5 +1,6 @@
-//! Criterion micro-benchmarks for the VF2 subgraph-isomorphism engine —
-//! the cost of EDM step 2 (enumerating candidate mappings).
+//! Criterion micro-benchmarks for the exhaustive embedding enumeration
+//! (`MapperSelection::Exhaustive`, the paper's VF2-style search) — the
+//! cost of EDM step 2 (enumerating candidate mappings).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use qdevice::mapper::{self, EmbeddingSet, MapperSelection};

@@ -47,7 +47,8 @@ pub enum ShotAllocation {
 pub struct EnsembleConfig {
     /// Number of mappings in the ensemble (the paper's default K = 4).
     pub size: usize,
-    /// Cap on the VF2 embedding enumeration.
+    /// Cap on the embedding search, whichever budgets the transpiler's
+    /// mapper selection runs it with (exhaustive or filtered).
     pub max_candidates: usize,
     /// Only keep members whose ESP is at least this fraction of the best
     /// member's ESP (§3.2 used mappings within 10% of the best, i.e. 0.9).

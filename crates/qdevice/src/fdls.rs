@@ -1,16 +1,26 @@
-//! Filtered depth-limited search (FDLS) for subgraph embedding.
+//! The embedding search: filtered depth-limited search (FDLS).
 //!
-//! Exhaustive VF2 enumeration ([`crate::vf2`]) is exact but explodes on the
-//! 27/65/127-qubit heavy-hex presets: their long degree-2 chains admit
-//! astronomically many embeddings of even a small footprint. Following the
-//! approach of Li, Zhou & Feng (*Qubit Mapping Based on Subgraph
-//! Isomorphism and Filtered Depth-Limited Search*), this module keeps the
-//! search useful at that scale with three mechanisms:
+//! EDM transplants a mapped circuit onto alternative qubit subsets by
+//! enumerating embeddings of the circuit's interaction graph into the device
+//! coupling graph (§5.2 of the paper, which uses the VF2 algorithm of
+//! Cordella et al.). This module implements that enumeration from scratch:
+//! a backtracking search ordered so that each pattern vertex (after the
+//! first of its component) is matched adjacent to already matched vertices.
+//! The match is *non-induced*: every pattern edge must map to a target edge,
+//! but extra target edges between mapped vertices are allowed — exactly
+//! what qubit mapping needs.
+//!
+//! Exhaustive enumeration explodes on the 27/65/127-qubit heavy-hex
+//! presets: their long degree-2 chains admit astronomically many embeddings
+//! of even a small footprint. Following the approach of Li, Zhou & Feng
+//! (*Qubit Mapping Based on Subgraph Isomorphism and Filtered Depth-Limited
+//! Search*), the search keeps useful at that scale with three mechanisms:
 //!
 //! 1. **Candidate filtering** — each pattern vertex is restricted up front
 //!    to target qubits whose degree *and* sorted neighbor-degree signature
-//!    dominate the pattern vertex's, pruning hopeless branches before the
-//!    search starts.
+//!    dominate the pattern vertex's. No embedding lies below a filtered-out
+//!    candidate, so the filter never changes which embeddings are found or
+//!    their order; it only spares the search the dead branches.
 //! 2. **Depth-limited backtracking** — under one root placement, once the
 //!    search retreats more than [`FdlsConfig::backtrack_depth`] levels below
 //!    the deepest point it reached, the root is abandoned: near-duplicate
@@ -21,14 +31,17 @@
 //!    a per-root [`FdlsConfig::root_budget`] bound the work regardless of
 //!    how adversarial the instance is.
 //!
-//! Every early exit is reported through [`SearchOutcome::Truncated`];
-//! [`FdlsConfig::exhaustive`] disables all three limits, making the search
-//! provably equivalent to VF2 (the property tests assert set equality).
+//! Every early exit is reported through [`SearchOutcome::Truncated`].
+//! [`FdlsConfig::exhaustive`] disables the limits of 2 and 3, and the
+//! search then enumerates every embedding: that is the paper's exhaustive
+//! enumeration, which [`crate::mapper::MapperSelection::Exhaustive`] runs.
+//! A budgeted search walks the same tree in the same order and only skips
+//! parts of it, so its embeddings are a subsequence of the exhaustive ones.
 //!
-//! The search is deterministic: matching order is the same as VF2's, roots
-//! and candidates are visited in ascending target-qubit id, and no
-//! randomness is involved — the same inputs always produce the same
-//! embedding sequence.
+//! The search is deterministic: the matching order is fixed, roots and
+//! candidates are visited in ascending target-qubit id, and no randomness
+//! is involved — the same inputs always produce the same embedding
+//! sequence.
 //!
 //! # Examples
 //!
@@ -46,7 +59,6 @@
 //! ```
 
 use crate::mapper::{SearchOutcome, Weights};
-use crate::vf2::{self, Adjacency};
 use crate::Topology;
 
 /// Budgets for one filtered depth-limited search.
@@ -77,9 +89,10 @@ impl Default for FdlsConfig {
 }
 
 impl FdlsConfig {
-    /// No budgets at all: the search visits the entire tree and is then
-    /// equivalent to exhaustive VF2 (same embedding set, possibly in a
-    /// different order).
+    /// No budgets at all: the search visits the entire tree and hands over
+    /// every embedding, in the one enumeration order every budgeted search
+    /// follows too. [`crate::mapper::MapperSelection::Exhaustive`] runs
+    /// the search with these budgets.
     pub fn exhaustive() -> Self {
         FdlsConfig {
             node_budget: u64::MAX,
@@ -90,77 +103,40 @@ impl FdlsConfig {
 }
 
 /// Hands each embedding of `pattern` into `target` under `config` to
-/// `visit`, in search order, with the same cap semantics as
-/// [`crate::vf2::for_each`]: injective, non-induced (every pattern edge
-/// maps to a target edge; extra target edges are fine), isolated pattern
-/// vertices land on any unused target qubit, and an empty pattern yields
-/// one empty embedding. The latency histogram covers the search together
-/// with the visitor's own work.
-pub fn for_each(
-    pattern: &Topology,
-    target: &Topology,
-    max_results: usize,
-    config: &FdlsConfig,
-    visit: impl FnMut(&[u32]),
-) -> SearchOutcome {
-    let selection = crate::mapper::MapperSelection::Filtered(*config);
-    crate::mapper::for_each_embedding(pattern, target, max_results, selection, visit)
-}
-
-/// [`for_each`] handing each embedding's running product of `weights` to
-/// `visit`; see [`crate::mapper::for_each_weighted`], which dispatches
-/// here. The budgets count every node, so nothing is cut and the cut
-/// `visit` returns is ignored.
-pub(crate) fn run<W: Weights>(
+/// `visit` with its running product of `weights`, in search order:
+/// injective, non-induced (every pattern edge maps to a target edge; extra
+/// target edges are fine), isolated pattern vertices land on any unused
+/// target qubit, and an empty pattern yields one empty embedding.
+///
+/// `visit` sees at most `max_results` embeddings. The search runs one
+/// embedding past the cap: the `(max_results + 1)`-th embedding is never
+/// visited, it only marks the outcome [`SearchOutcome::Truncated`], so a
+/// pool of exactly `max_results` embeddings is still
+/// [`SearchOutcome::Complete`].
+///
+/// `visit` returns the cut. With no budgets and no result cap (nothing
+/// counts the embeddings below a placement) a placement whose running
+/// product falls below the last cut is not extended. Returns the outcome,
+/// the number of embeddings visited and the number of placements cut.
+pub(crate) fn search<W: Weights>(
     pattern: &Topology,
     target: &Topology,
     max_results: usize,
     config: &FdlsConfig,
     weights: &W,
-    visit: impl FnMut(&[u32], f64) -> f64,
-) -> SearchOutcome {
-    let _span = edm_telemetry::trace::span("fdls_search");
-    let (outcome, visited) = edm_telemetry::histogram!(
-        "edm_qdevice_fdls_us",
-        "Wall time of one FDLS embedding search"
-    )
-    .time(|| search_inner(pattern, target, max_results, config, weights, visit));
-    edm_telemetry::counter!(
-        "edm_qdevice_fdls_embeddings_total",
-        "Embeddings produced by FDLS searches"
-    )
-    .add(visited as u64);
-    if outcome != SearchOutcome::Complete {
-        edm_telemetry::counter!(
-            "edm_qdevice_fdls_truncated_total",
-            "FDLS searches that stopped on a budget, cap, or backtrack limit"
-        )
-        .inc();
-    }
-    outcome
-}
-
-/// Runs the search, returning its outcome and the number of embeddings
-/// visited.
-fn search_inner<W: Weights, F: FnMut(&[u32], f64) -> f64>(
-    pattern: &Topology,
-    target: &Topology,
-    max_results: usize,
-    config: &FdlsConfig,
-    weights: &W,
-    mut visit: F,
-) -> (SearchOutcome, usize) {
+    mut visit: impl FnMut(&[u32], f64) -> f64,
+) -> (SearchOutcome, usize, u64) {
     let pn = pattern.num_qubits() as usize;
     let tn = target.num_qubits() as usize;
     if pn == 0 {
         if max_results == 0 {
-            return (SearchOutcome::Complete, 0);
+            return (SearchOutcome::Complete, 0, 0);
         }
         visit(&[], 1.0);
-        return (SearchOutcome::Complete, 1);
+        return (SearchOutcome::Complete, 1, 0);
     }
     if pn > tn {
-        return (SearchOutcome::Complete, 0);
+        return (SearchOutcome::Complete, 0, 0);
     }
 
     // Stage 1: candidate filtering. A target qubit can host a pattern
@@ -183,15 +159,15 @@ fn search_inner<W: Weights, F: FnMut(&[u32], f64) -> f64>(
         if list.is_empty() {
             // Some pattern vertex has no viable host: no embedding exists,
             // and the filter proved it without any search.
-            return (SearchOutcome::Complete, 0);
+            return (SearchOutcome::Complete, 0, 0);
         }
         cand_list.push(list);
         cand_mask.push(mask);
     }
 
-    // Search one past the cap so an exactly-at-cap pool still reports
-    // Complete (matching vf2::for_each's cap-hit detection).
-    let order = vf2::matching_order(pattern);
+    // Search one past the cap: finding max_results + 1 embeddings proves
+    // the cap actually clipped the pool.
+    let order = matching_order(pattern);
     let (pattern_adj, target_adj) = (Adjacency::new(pattern), Adjacency::new(target));
     let mut s = Search {
         pattern: &pattern_adj,
@@ -203,11 +179,16 @@ fn search_inner<W: Weights, F: FnMut(&[u32], f64) -> f64>(
         used: vec![false; tn],
         visit,
         weights,
+        // Only an unbudgeted, uncapped search may skip embeddings: a
+        // budget or a cap would still count the skipped ones.
+        prunes: max_results == usize::MAX && *config == FdlsConfig::exhaustive(),
+        cut: 0.0,
+        pruned: 0,
         found: 0,
         max_results,
         limit: max_results.saturating_add(1),
         expansions: 0,
-        root_expansions: 0,
+        budget_end: 0,
         deepest: 0,
         config: *config,
         stop: false,
@@ -217,26 +198,16 @@ fn search_inner<W: Weights, F: FnMut(&[u32], f64) -> f64>(
 
     let root_v = order[0];
     for &root in &cand_list[root_v as usize] {
-        if s.stop {
-            break;
-        }
-        s.root_expansions = 0;
+        s.budget_end = config
+            .node_budget
+            .min(s.expansions.saturating_add(config.root_budget));
         s.deepest = 0;
         s.abandon = false;
-        if !s.charge_expansion() {
-            // Node budget exhausted stops the search; a 1-expansion root
-            // budget merely rotates to the next root.
-            if s.stop {
-                break;
-            }
-            continue;
+        // A stop ends the search; an abandoned root (root budget or
+        // backtrack limit) merely rotates to the next root.
+        if !s.place(0, root_v, root, 1.0) && s.stop {
+            break;
         }
-        let product = weights.place(root_v, root, &s.mapping);
-        s.mapping[root_v as usize] = root;
-        s.used[root as usize] = true;
-        s.dfs(1, product);
-        s.used[root as usize] = false;
-        s.mapping[root_v as usize] = u32::MAX;
     }
 
     let outcome = if s.truncated {
@@ -246,7 +217,50 @@ fn search_inner<W: Weights, F: FnMut(&[u32], f64) -> f64>(
     } else {
         SearchOutcome::Complete
     };
-    (outcome, s.found.min(max_results))
+    (outcome, s.found.min(max_results), s.pruned)
+}
+
+/// Computes a matching order: vertices sorted so that every vertex after the
+/// first of its connected component has at least one earlier neighbor.
+/// Components are visited by descending maximum degree, which narrows the
+/// candidate sets early.
+fn matching_order(pattern: &Topology) -> Vec<u32> {
+    let n = pattern.num_qubits();
+    let mut order = Vec::with_capacity(n as usize);
+    let mut placed = vec![false; n as usize];
+    loop {
+        // Pick the highest-degree unplaced vertex as the next component seed.
+        let seed = (0..n)
+            .filter(|&v| !placed[v as usize])
+            .max_by_key(|&v| pattern.degree(v));
+        let Some(seed) = seed else { break };
+        // Grow the component greedily: always add the unplaced vertex with
+        // the most already-placed neighbors (ties broken by degree).
+        placed[seed as usize] = true;
+        order.push(seed);
+        loop {
+            let next = (0..n)
+                .filter(|&v| !placed[v as usize])
+                .map(|v| {
+                    let placed_neighbors = pattern
+                        .neighbors(v)
+                        .iter()
+                        .filter(|&&u| placed[u as usize])
+                        .count();
+                    (placed_neighbors, pattern.degree(v), v)
+                })
+                .filter(|&(pn_count, _, _)| pn_count > 0)
+                .max();
+            match next {
+                Some((_, _, v)) => {
+                    placed[v as usize] = true;
+                    order.push(v);
+                }
+                None => break,
+            }
+        }
+    }
+    order
 }
 
 /// Per-vertex neighbor degrees, sorted descending.
@@ -266,6 +280,43 @@ fn dominates(target_sig: &[usize], pattern_sig: &[usize]) -> bool {
     pattern_sig.len() <= target_sig.len() && pattern_sig.iter().zip(target_sig).all(|(p, t)| p <= t)
 }
 
+/// A topology's adjacency flattened for the search loop: neighbour slices
+/// in ascending order (the order [`Topology::neighbors`] iterates in, so
+/// the search order is unchanged) and a dense edge matrix, so the inner
+/// loop never walks a `BTreeSet`.
+struct Adjacency {
+    num_qubits: u32,
+    neighbors: Vec<Vec<u32>>,
+    edge: Vec<bool>,
+}
+
+impl Adjacency {
+    fn new(topology: &Topology) -> Self {
+        let n = topology.num_qubits();
+        let mut edge = vec![false; (n as usize) * (n as usize)];
+        for e in topology.edges() {
+            edge[(e.lo() * n + e.hi()) as usize] = true;
+            edge[(e.hi() * n + e.lo()) as usize] = true;
+        }
+        Adjacency {
+            num_qubits: n,
+            neighbors: (0..n)
+                .map(|q| topology.neighbors(q).iter().copied().collect())
+                .collect(),
+            edge,
+        }
+    }
+
+    fn neighbors(&self, q: u32) -> &[u32] {
+        &self.neighbors[q as usize]
+    }
+
+    /// True if `a` and `b` (both in range) are coupled.
+    fn has_edge(&self, a: u32, b: u32) -> bool {
+        self.edge[(a * self.num_qubits + b) as usize]
+    }
+}
+
 struct Search<'a, W, F> {
     pattern: &'a Adjacency,
     target: &'a Adjacency,
@@ -276,6 +327,13 @@ struct Search<'a, W, F> {
     used: Vec<bool>,
     visit: F,
     weights: &'a W,
+    /// Whether a placement whose running product falls below `cut` is
+    /// left unextended.
+    prunes: bool,
+    /// The cut `visit` last returned.
+    cut: f64,
+    /// Placements left unextended.
+    pruned: u64,
     /// Complete embeddings found so far (visited or not).
     found: usize,
     /// Embeddings handed to `visit`; the next one only proves truncation.
@@ -283,12 +341,15 @@ struct Search<'a, W, F> {
     /// `max_results + 1`: the search stops once this many are found.
     limit: usize,
     expansions: u64,
-    root_expansions: u64,
+    /// The expansion count at which the node budget or the current
+    /// root's budget runs out, whichever comes first.
+    budget_end: u64,
     deepest: usize,
     config: FdlsConfig,
     /// Global stop: node budget exhausted or result cap overflowed.
     stop: bool,
-    /// Abandon the current root (root budget or backtrack limit).
+    /// Abandon the current root (root budget or backtrack limit), and
+    /// raised together with `stop`.
     abandon: bool,
     truncated: bool,
 }
@@ -296,20 +357,16 @@ struct Search<'a, W, F> {
 impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
     /// Counts one node expansion against both budgets. Returns false (and
     /// raises the corresponding flags) when a budget is exhausted.
+    #[inline(always)]
     fn charge_expansion(&mut self) -> bool {
         self.expansions += 1;
-        self.root_expansions += 1;
-        if self.expansions >= self.config.node_budget {
-            self.truncated = true;
-            self.stop = true;
-            return false;
+        if self.expansions < self.budget_end {
+            return true;
         }
-        if self.root_expansions >= self.config.root_budget {
-            self.truncated = true;
-            self.abandon = true;
-            return false;
-        }
-        true
+        self.truncated = true;
+        self.abandon = true;
+        self.stop = self.expansions >= self.config.node_budget;
+        false
     }
 
     /// Searches below a partial embedding of `depth` vertices whose
@@ -318,24 +375,28 @@ impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
         if depth == self.order.len() {
             self.found += 1;
             if self.found <= self.max_results {
-                (self.visit)(&self.mapping, product);
+                self.cut = (self.visit)(&self.mapping, product);
             }
             if self.found >= self.limit {
                 self.truncated = true;
                 self.stop = true;
+                self.abandon = true;
             }
             return;
         }
         self.deepest = self.deepest.max(depth);
         let v = self.order[depth];
+        // Candidate targets: if v has mapped neighbors, the filtered
+        // target-neighbors of one mapped image; otherwise every filtered
+        // target. `used` is restored after each candidate's subtree, so
+        // testing it lazily visits the same candidates, in the same order,
+        // as collecting them up front.
         let mapped_neighbor = self
             .pattern
             .neighbors(v)
             .iter()
             .find(|&&u| self.mapping[u as usize] != u32::MAX)
             .copied();
-        // `used` is restored after each candidate's subtree, so testing it
-        // lazily visits the same candidates as collecting them up front.
         let (target, cand_list, cand_mask) = (self.target, self.cand_list, self.cand_mask);
         let mask = &cand_mask[v as usize];
         match mapped_neighbor {
@@ -369,16 +430,7 @@ impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
                 return true;
             }
         }
-        if !self.charge_expansion() {
-            return false;
-        }
-        let product = product * self.weights.place(v, t, &self.mapping);
-        self.mapping[v as usize] = t;
-        self.used[t as usize] = true;
-        self.dfs(depth + 1, product);
-        self.used[t as usize] = false;
-        self.mapping[v as usize] = u32::MAX;
-        if self.stop || self.abandon {
+        if !self.place(depth, v, t, product) {
             return false;
         }
         // Depth-limited backtracking: once the subtree below has been
@@ -390,6 +442,28 @@ impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
             return false;
         }
         true
+    }
+
+    /// Weighs placing pattern vertex `v` on target `t`, cuts the placement
+    /// if its running product falls below the cut, charges it against the
+    /// budgets and searches below it. Returns false once this level must
+    /// stop (global stop or root abandoned).
+    #[inline(always)]
+    fn place(&mut self, depth: usize, v: u32, t: u32, product: f64) -> bool {
+        let product = product * self.weights.place(v, t, &self.mapping);
+        if self.prunes && product < self.cut {
+            self.pruned += 1;
+            return true;
+        }
+        if !self.charge_expansion() {
+            return false;
+        }
+        self.mapping[v as usize] = t;
+        self.used[t as usize] = true;
+        self.dfs(depth + 1, product);
+        self.used[t as usize] = false;
+        self.mapping[v as usize] = u32::MAX;
+        !self.abandon
     }
 }
 
@@ -409,9 +483,10 @@ mod tests {
         mapper::enumerate_embeddings(pattern, target, max_results, selection)
     }
 
-    fn sorted(mut v: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-        v.sort();
-        v
+    fn all(pattern: &Topology, target: &Topology) -> Vec<Vec<u32>> {
+        let set = search(pattern, target, usize::MAX, &FdlsConfig::exhaustive());
+        assert!(set.is_complete());
+        set.embeddings
     }
 
     fn check_valid(pattern: &Topology, target: &Topology, phi: &[u32]) {
@@ -429,28 +504,81 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_config_matches_vf2_on_small_targets() {
-        let patterns = [
-            presets::line(3),
-            presets::line(5),
-            presets::ring(4),
-            Topology::new(4, &[(0, 1), (0, 2), (0, 3)]),
-            Topology::new(3, &[(0, 1)]), // isolated vertex included
-        ];
-        let targets = [presets::melbourne14(), presets::guadalupe16()];
-        for pattern in &patterns {
-            for target in &targets {
-                let a = mapper::enumerate_embeddings(
-                    pattern,
-                    target,
-                    usize::MAX,
-                    MapperSelection::Exhaustive,
-                );
-                let b = search(pattern, target, usize::MAX, &FdlsConfig::exhaustive());
-                assert!(a.is_complete() && b.is_complete());
-                assert_eq!(sorted(a.embeddings), sorted(b.embeddings));
+    fn path_counts_on_lines_and_rings() {
+        // Three start positions on line-5, six on ring-6, two directions
+        // each.
+        for (target, count) in [(presets::line(5), 6), (presets::ring(6), 12)] {
+            let found = all(&presets::line(3), &target);
+            assert_eq!(found.len(), count);
+            for phi in &found {
+                check_valid(&presets::line(3), &target, phi);
             }
         }
+    }
+
+    #[test]
+    fn triangle_needs_a_cycle() {
+        let triangle = presets::ring(3);
+        assert!(all(&triangle, &presets::line(5)).is_empty());
+        assert!(!all(&triangle, &presets::tokyo20()).is_empty());
+    }
+
+    #[test]
+    fn star_requires_degree() {
+        // A 4-star needs a degree-3 hub; a line's max degree is 2, so the
+        // candidate filter empties out under any budgets.
+        let star = Topology::new(4, &[(0, 1), (0, 2), (0, 3)]);
+        for config in [FdlsConfig::default(), FdlsConfig::exhaustive()] {
+            let set = search(&star, &presets::line(10), usize::MAX, &config);
+            assert!(set.is_complete() && set.embeddings.is_empty());
+        }
+        // ... but it embeds into melbourne (degree-3 vertices exist).
+        assert!(!all(&star, &presets::melbourne14()).is_empty());
+    }
+
+    #[test]
+    fn isolated_vertices_map_anywhere_unused() {
+        // Pattern: one edge + one isolated vertex, into a line of 3.
+        let pattern = Topology::new(3, &[(0, 1)]);
+        let target = presets::line(3);
+        let found = all(&pattern, &target);
+        for phi in &found {
+            check_valid(&pattern, &target, phi);
+        }
+        // Edge (0,1) can sit on (0,1),(1,0),(1,2),(2,1); vertex 2 takes the
+        // remaining spot: 4 embeddings.
+        assert_eq!(found.len(), 4);
+    }
+
+    #[test]
+    fn embeddings_into_melbourne_are_valid_and_distinct() {
+        let pattern = presets::line(6);
+        let target = presets::melbourne14();
+        let found = all(&pattern, &target);
+        assert!(!found.is_empty());
+        let mut distinct = std::collections::BTreeSet::new();
+        for phi in &found {
+            check_valid(&pattern, &target, phi);
+            assert!(distinct.insert(phi.clone()), "duplicate embedding {phi:?}");
+        }
+    }
+
+    #[test]
+    fn cap_hit_is_reported_not_silent() {
+        let pattern = presets::line(2);
+        let target = presets::melbourne14(); // 18 edges -> 36 embeddings
+        let exhaustive = FdlsConfig::exhaustive();
+        let clipped = search(&pattern, &target, 5, &exhaustive);
+        assert_eq!(clipped.embeddings.len(), 5);
+        assert!(matches!(
+            clipped.outcome,
+            SearchOutcome::Truncated { explored } if explored > 0
+        ));
+        // A cap exactly at the pool size is not a truncation.
+        let exact = search(&pattern, &target, 36, &exhaustive);
+        assert_eq!(exact.embeddings.len(), 36);
+        assert!(exact.is_complete());
+        assert_eq!(all(&pattern, &target).len(), 36);
     }
 
     #[test]
@@ -492,52 +620,19 @@ mod tests {
             SearchOutcome::Truncated { explored } if explored <= 16
         ));
         // The full pool is strictly larger.
-        let full = search(&pattern, &target, usize::MAX, &FdlsConfig::exhaustive());
-        assert!(full.is_complete());
-        assert!(set.embeddings.len() < full.embeddings.len());
+        assert!(set.embeddings.len() < all(&pattern, &target).len());
     }
 
     #[test]
-    fn result_cap_reports_truncation_only_when_hit() {
-        let pattern = presets::line(3);
-        let target = presets::line(4); // exactly 4 embeddings
-        let exact = search(&pattern, &target, 4, &FdlsConfig::exhaustive());
-        assert!(exact.is_complete());
-        assert_eq!(exact.embeddings.len(), 4);
-        let capped = search(&pattern, &target, 3, &FdlsConfig::exhaustive());
-        assert!(!capped.is_complete());
-        assert_eq!(capped.embeddings.len(), 3);
-    }
-
-    #[test]
-    fn filtering_proves_unembeddable_without_searching() {
-        // A 4-star needs a degree-3 hub with three degree->=1 neighbors;
-        // a line's max degree is 2, so the candidate filter empties out.
-        let star = Topology::new(4, &[(0, 1), (0, 2), (0, 3)]);
-        let set = search(
-            &star,
-            &presets::line(10),
-            usize::MAX,
-            &FdlsConfig::default(),
-        );
-        assert!(set.is_complete());
-        assert!(set.embeddings.is_empty());
-    }
-
-    #[test]
-    fn empty_and_oversized_patterns_match_vf2_semantics() {
+    fn empty_and_oversized_patterns() {
         let empty = Topology::new(0, &[]);
-        let set = search(
-            &empty,
-            &presets::line(3),
-            usize::MAX,
-            &FdlsConfig::default(),
-        );
-        assert_eq!(set.embeddings, vec![Vec::<u32>::new()]);
-        assert!(set.is_complete());
-        let big = presets::line(5);
-        let set = search(&big, &presets::line(4), usize::MAX, &FdlsConfig::default());
-        assert!(set.embeddings.is_empty() && set.is_complete());
+        for config in [FdlsConfig::default(), FdlsConfig::exhaustive()] {
+            let set = search(&empty, &presets::line(3), usize::MAX, &config);
+            assert_eq!(set.embeddings, vec![Vec::<u32>::new()]);
+            assert!(set.is_complete());
+            let set = search(&presets::line(5), &presets::line(4), 10, &config);
+            assert!(set.embeddings.is_empty() && set.is_complete());
+        }
     }
 
     #[test]

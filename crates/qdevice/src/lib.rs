@@ -13,12 +13,12 @@
 //! - [`Calibration`] — the compiler-visible view (error rates only, no
 //!   hidden coherent information), optionally drifted relative to the truth
 //!   so that compile-time ESP imperfectly predicts run-time PST (Fig. 8),
-//! - [`vf2`] — exhaustive subgraph-isomorphism enumeration used by EDM to
-//!   transplant a mapping onto alternative qubit subsets (§5.2),
-//! - [`fdls`] — budgeted filtered depth-limited search, the scalable
-//!   embedding engine for the 27/65/127-qubit heavy-hex presets,
+//! - [`fdls`] — the subgraph-isomorphism search used by EDM to transplant a
+//!   mapping onto alternative qubit subsets (§5.2): exhaustive on small
+//!   devices, budgeted (filtered depth-limited search) on the
+//!   27/65/127-qubit heavy-hex presets,
 //! - [`mapper`] — the selection layer ([`mapper::MapperSelection`]) that
-//!   picks between the two engines and reports an explicit
+//!   picks the search's budgets and reports an explicit
 //!   [`mapper::SearchOutcome`],
 //! - [`drift`] — cycle-over-cycle calibration-drift scoring and the
 //!   qubit/link quarantine that feeds variation-aware mapping.
@@ -46,7 +46,6 @@ pub mod persist;
 pub mod presets;
 pub mod stats;
 mod topology;
-pub mod vf2;
 
 pub use calibration::Calibration;
 pub use device::{DeviceModel, NoiseParams, SynthesisProfile};

@@ -1,25 +1,27 @@
-//! Mapper selection: one front door over the two embedding engines.
+//! Mapper selection: one front door over the embedding search.
 //!
 //! EDM needs *many* embeddings of a circuit footprint into the coupling
-//! graph. Two engines produce them:
+//! graph. One search produces them, [`crate::fdls`]; the selection only
+//! picks its budgets:
 //!
-//! - [`crate::vf2`] — exhaustive VF2 enumeration; exact, but intractable on
-//!   the 27/65/127-qubit heavy-hex presets where sparse degree-2 chains make
-//!   the embedding count explode,
-//! - [`crate::fdls`] — filtered depth-limited search (after Li, Zhou &
-//!   Feng); budgeted, deterministic, and spread across root placements so
-//!   the diverse top-K structure EDM relies on survives truncation.
+//! - [`MapperSelection::Exhaustive`] runs it with no budgets
+//!   ([`FdlsConfig::exhaustive`]): the paper's exact VF2-style
+//!   enumeration, intractable on the 27/65/127-qubit heavy-hex presets
+//!   where sparse degree-2 chains make the embedding count explode,
+//! - [`MapperSelection::Filtered`] runs it with node and backtrack budgets
+//!   (after Li, Zhou & Feng); deterministic, and spread across root
+//!   placements so the diverse top-K structure EDM relies on survives
+//!   truncation.
 //!
-//! [`MapperSelection`] names the choice, with an [`MapperSelection::Auto`]
-//! mode that keeps small devices on the exhaustive engine (bit-identical to
-//! the pre-FDLS behavior) and switches large ones to the filtered engine.
-//! Both report an explicit [`SearchOutcome`] instead of a silently capped
-//! `Vec`, so ESP rankings downstream know whether they saw the whole pool.
+//! [`MapperSelection::Auto`] keeps small devices exhaustive and gives large
+//! ones the default budgets. Every search reports an explicit
+//! [`SearchOutcome`] instead of a silently capped `Vec`, so ESP rankings
+//! downstream know whether they saw the whole pool.
 
 use crate::fdls::{self, FdlsConfig};
-use crate::{vf2, Topology};
+use crate::Topology;
 
-/// Devices at or below this qubit count stay on exhaustive VF2 under
+/// Devices at or below this qubit count are searched exhaustively under
 /// [`MapperSelection::Auto`] — up to tokyo-20, where full enumeration is
 /// affordable and the paper's methodology applies unchanged.
 pub const AUTO_EXHAUSTIVE_MAX_QUBITS: u32 = 20;
@@ -56,16 +58,17 @@ impl EmbeddingSet {
     }
 }
 
-/// Which embedding engine to run.
+/// Which budgets the embedding search runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MapperSelection {
-    /// Exhaustive VF2 for targets up to [`AUTO_EXHAUSTIVE_MAX_QUBITS`]
-    /// qubits, filtered depth-limited search (default budgets) above.
+    /// Exhaustive for targets up to [`AUTO_EXHAUSTIVE_MAX_QUBITS`] qubits,
+    /// the default filtered budgets above.
     #[default]
     Auto,
-    /// Always exhaustive VF2, whatever the device size.
+    /// Always exhaustive ([`FdlsConfig::exhaustive`]), whatever the device
+    /// size.
     Exhaustive,
-    /// Always the filtered depth-limited search with these budgets.
+    /// Always these filtered depth-limited search budgets.
     Filtered(FdlsConfig),
 }
 
@@ -82,7 +85,7 @@ impl MapperSelection {
         }
     }
 
-    /// The short name of the engine this selection resolves to on `target`.
+    /// The short name of the budgets this selection resolves to on `target`.
     pub fn describe(self, target: &Topology) -> &'static str {
         match self.resolve(target) {
             MapperSelection::Exhaustive => "exhaustive",
@@ -92,10 +95,11 @@ impl MapperSelection {
     }
 }
 
-/// Enumerates embeddings of `pattern` into `target` with the selected
-/// engine, returning at most `max_results` of them plus the search outcome.
+/// Enumerates embeddings of `pattern` into `target` under the selected
+/// budgets, returning at most `max_results` of them plus the search
+/// outcome.
 ///
-/// Both engines are deterministic (fixed matching order, candidates in
+/// The search is deterministic (fixed matching order, candidates in
 /// ascending target-qubit id), so the same inputs always yield the same
 /// embedding sequence. This collects [`for_each_embedding`] and is the one
 /// collecting form of the search; callers that only score or filter
@@ -182,12 +186,18 @@ impl Weights for Unweighted {
 /// counts for the caller (`0.0` keeps every one).
 ///
 /// Subtrees are cut only where nothing counts the embeddings below them:
-/// exhaustive VF2 with no result cap (`max_results == usize::MAX`). There
-/// a placement whose running product falls below the cut is not extended,
-/// and the returned count is the number of such placements. Under a result
-/// cap or FDLS budgets nothing is cut, so the enumeration order, the cap
-/// point and `explored` stay those of [`for_each_embedding`]; the caller
-/// applies the cut to the products it is handed, and the count is zero.
+/// a search with no budgets and no result cap (`max_results ==
+/// usize::MAX`). There a placement whose running product falls below the
+/// cut is not extended, and the returned count is the number of such
+/// placements. Under a result cap or budgets nothing is cut, so the
+/// enumeration order, the cap point and `explored` stay those of
+/// [`for_each_embedding`]; the caller applies the cut to the products it
+/// is handed, and the count is zero.
+///
+/// The selection picks the budgets and the names the search is recorded
+/// under: `vf2_enumerate` and the `edm_qdevice_vf2_*` metrics when
+/// exhaustive, `fdls_search` and `edm_qdevice_fdls_*` when filtered. The
+/// latency histogram covers the search together with the visitor's work.
 pub fn for_each_weighted<W: Weights>(
     pattern: &Topology,
     target: &Topology,
@@ -196,12 +206,50 @@ pub fn for_each_weighted<W: Weights>(
     weights: &W,
     visit: impl FnMut(&[u32], f64) -> f64,
 ) -> (SearchOutcome, u64) {
+    let search = |config| fdls::search(pattern, target, max_results, &config, weights, visit);
     match selection.resolve(target) {
-        MapperSelection::Exhaustive => vf2::run(pattern, target, max_results, weights, visit),
-        MapperSelection::Filtered(config) => (
-            fdls::run(pattern, target, max_results, &config, weights, visit),
-            0,
-        ),
+        MapperSelection::Exhaustive => {
+            let _span = edm_telemetry::trace::span("vf2_enumerate");
+            let (outcome, visited, pruned) = edm_telemetry::histogram!(
+                "edm_qdevice_vf2_us",
+                "Wall time of one VF2 subgraph-isomorphism enumeration"
+            )
+            .time(|| search(FdlsConfig::exhaustive()));
+            edm_telemetry::counter!(
+                "edm_qdevice_vf2_embeddings_total",
+                "Embeddings produced by VF2 enumeration"
+            )
+            .add(visited as u64);
+            if outcome != SearchOutcome::Complete {
+                edm_telemetry::counter!(
+                    "edm_qdevice_vf2_cap_hits_total",
+                    "VF2 enumerations truncated by their result cap"
+                )
+                .inc();
+            }
+            (outcome, pruned)
+        }
+        MapperSelection::Filtered(config) => {
+            let _span = edm_telemetry::trace::span("fdls_search");
+            let (outcome, visited, pruned) = edm_telemetry::histogram!(
+                "edm_qdevice_fdls_us",
+                "Wall time of one FDLS embedding search"
+            )
+            .time(|| search(config));
+            edm_telemetry::counter!(
+                "edm_qdevice_fdls_embeddings_total",
+                "Embeddings produced by FDLS searches"
+            )
+            .add(visited as u64);
+            if outcome != SearchOutcome::Complete {
+                edm_telemetry::counter!(
+                    "edm_qdevice_fdls_truncated_total",
+                    "FDLS searches that stopped on a budget, cap, or backtrack limit"
+                )
+                .inc();
+            }
+            (outcome, pruned)
+        }
         MapperSelection::Auto => unreachable!("resolve never returns Auto"),
     }
 }
@@ -228,21 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_agrees_across_engines_on_a_small_target() {
+    fn exhaustive_is_the_search_with_no_budgets() {
         let pattern = presets::line(4);
         let target = presets::guadalupe16();
-        let a = enumerate_embeddings(&pattern, &target, usize::MAX, MapperSelection::Exhaustive);
-        let b = enumerate_embeddings(
-            &pattern,
-            &target,
-            usize::MAX,
-            MapperSelection::Filtered(FdlsConfig::exhaustive()),
-        );
-        assert!(a.is_complete() && b.is_complete());
-        let mut sa = a.embeddings;
-        let mut sb = b.embeddings;
-        sa.sort();
-        sb.sort();
-        assert_eq!(sa, sb);
+        let unbudgeted = MapperSelection::Filtered(FdlsConfig::exhaustive());
+        for cap in [usize::MAX, 7] {
+            let a = enumerate_embeddings(&pattern, &target, cap, MapperSelection::Exhaustive);
+            assert_eq!(a, enumerate_embeddings(&pattern, &target, cap, unbudgeted));
+            assert_eq!(a.is_complete(), cap == usize::MAX);
+        }
     }
 }

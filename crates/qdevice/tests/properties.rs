@@ -1,5 +1,6 @@
-//! Property-based tests for the device substrate: topology invariants, VF2
-//! against brute force, synthesis validity, and persistence round-trips.
+//! Property-based tests for the device substrate: topology invariants, the
+//! embedding search against brute force, synthesis validity, and
+//! persistence round-trips.
 
 use proptest::prelude::*;
 use qdevice::fdls::FdlsConfig;
@@ -29,6 +30,33 @@ fn connected_graph(n: u32) -> impl Strategy<Value = Topology> {
         edges.extend(extra.into_iter().filter(|(a, b)| a != b));
         Topology::new(n, &edges)
     })
+}
+
+/// True when `part` is `whole` with some elements left out.
+fn is_subsequence(part: &[Vec<u32>], whole: &[Vec<u32>]) -> bool {
+    let mut rest = whole.iter();
+    part.iter().all(|e| rest.any(|w| w == e))
+}
+
+/// Every budgeted search on `p` into `t` hands over a subsequence of the
+/// exhaustive enumeration: budgets skip parts of the one search tree but
+/// never reorder, repeat or invent embeddings.
+fn check_budgeted_searches(p: &Topology, t: &Topology) -> Result<(), TestCaseError> {
+    let full = embeddings(p, t, MapperSelection::Exhaustive);
+    let tight = FdlsConfig {
+        node_budget: 12,
+        root_budget: 4,
+        backtrack_depth: 1,
+    };
+    for config in [FdlsConfig::default(), tight] {
+        let got = embeddings(p, t, MapperSelection::Filtered(config));
+        prop_assert!(
+            is_subsequence(&got, &full),
+            "{:?} reordered or invented embeddings",
+            config
+        );
+    }
+    Ok(())
 }
 
 /// Brute-force subgraph-isomorphism count by permutation enumeration
@@ -114,44 +142,23 @@ proptest! {
     }
 
     #[test]
-    fn vf2_count_matches_brute_force(p in graph(4), t in graph(5)) {
+    fn exhaustive_count_matches_brute_force(p in graph(4), t in graph(5)) {
         let fast = embeddings(&p, &t, MapperSelection::Exhaustive).len();
         let slow = brute_force_count(&p, &t);
         prop_assert_eq!(fast, slow);
     }
 
     #[test]
-    fn fdls_exhaustive_matches_vf2_on_every_small_preset(p in connected_graph(5)) {
-        // The filtered engine with budgets disabled must agree with VF2 on
-        // the full embedding *set* (not just the count) for every preset
-        // the Auto mapper would search exhaustively.
+    fn budgeted_search_is_a_subsequence_on_every_small_preset(p in connected_graph(5)) {
+        // Every preset the Auto mapper would search exhaustively.
         for make in [presets::melbourne14, presets::guadalupe16, presets::tokyo20] {
-            let target = make();
-            let mut fast = embeddings(&p, &target, MapperSelection::Exhaustive);
-            let mut filtered =
-                embeddings(&p, &target, MapperSelection::Filtered(FdlsConfig::exhaustive()));
-            fast.sort();
-            filtered.sort();
-            prop_assert_eq!(&fast, &filtered, "sets differ on a {}-qubit preset",
-                target.num_qubits());
+            check_budgeted_searches(&p, &make())?;
         }
     }
 
     #[test]
-    fn fdls_under_budget_returns_a_subset_of_vf2(p in graph(4), t in graph(6)) {
-        // Budgets may drop embeddings but never invent them.
-        let full: std::collections::BTreeSet<Vec<u32>> =
-            embeddings(&p, &t, MapperSelection::Exhaustive).into_iter().collect();
-        let tight = FdlsConfig { node_budget: 12, root_budget: 4, backtrack_depth: 1 };
-        for config in [FdlsConfig::default(), tight] {
-            let got = embeddings(&p, &t, MapperSelection::Filtered(config));
-            let distinct: std::collections::BTreeSet<Vec<u32>> =
-                got.iter().cloned().collect();
-            prop_assert_eq!(distinct.len(), got.len(), "duplicates in FDLS output");
-            for e in &got {
-                prop_assert!(full.contains(e), "FDLS invented {:?}", e);
-            }
-        }
+    fn budgeted_search_is_a_subsequence_of_the_exhaustive_one(p in graph(4), t in graph(6)) {
+        check_budgeted_searches(&p, &t)?;
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! The visitor forms of the embedding search (`vf2::for_each`,
-//! `fdls::for_each`, `mapper::for_each_embedding`) must see exactly what
-//! the collector `mapper::enumerate_embeddings` returns: the same
-//! embeddings in the same order, and the same outcome — `explored`
-//! included — below, at and above the pool size.
+//! The visitor form of the embedding search, `mapper::for_each_embedding`,
+//! must see exactly what the collector `mapper::enumerate_embeddings`
+//! returns: the same embeddings in the same order, and the same outcome —
+//! `explored` included — below, at and above the pool size.
 
-use qdevice::fdls::{self, FdlsConfig};
+use qdevice::fdls::FdlsConfig;
 use qdevice::mapper::{self, EmbeddingSet, MapperSelection, SearchOutcome};
-use qdevice::{presets, vf2, Topology};
+use qdevice::{presets, Topology};
 
 const EXHAUSTIVE: MapperSelection = MapperSelection::Exhaustive;
 
@@ -101,21 +100,20 @@ fn empty_and_oversized_patterns_visit_like_they_collect() {
     let empty = Topology::new(0, &[]);
     let target = presets::line(3);
     let filtered = MapperSelection::Filtered(FdlsConfig::default());
-    for cap in [0, 1, usize::MAX] {
-        let seen = visited(|f| vf2::for_each(&empty, &target, cap, f));
-        assert_eq!(
-            seen,
-            mapper::enumerate_embeddings(&empty, &target, cap, EXHAUSTIVE)
-        );
-        let seen = visited(|f| fdls::for_each(&empty, &target, cap, &FdlsConfig::default(), f));
-        assert_eq!(
-            seen,
-            mapper::enumerate_embeddings(&empty, &target, cap, filtered)
-        );
+    for selection in [EXHAUSTIVE, filtered] {
+        for cap in [0, 1, usize::MAX] {
+            let seen = visited(|f| mapper::for_each_embedding(&empty, &target, cap, selection, f));
+            assert_eq!(
+                seen,
+                mapper::enumerate_embeddings(&empty, &target, cap, selection)
+            );
+        }
+        let big = presets::line(5);
+        let seen = visited(|f| {
+            mapper::for_each_embedding(&big, &presets::line(4), usize::MAX, selection, f)
+        });
+        assert!(seen.embeddings.is_empty() && seen.outcome == SearchOutcome::Complete);
     }
-    let big = presets::line(5);
-    let seen = visited(|f| vf2::for_each(&big, &presets::line(4), usize::MAX, f));
-    assert!(seen.embeddings.is_empty() && seen.outcome == SearchOutcome::Complete);
 }
 
 /// Pool size, FNV-1a hash of the embedding sequence, and `explored`.
@@ -141,10 +139,11 @@ fn fingerprint(set: &EmbeddingSet) -> Fingerprint {
 /// ESP ties are broken by enumeration order, so the order is part of the
 /// mapping contract. These fingerprints were taken from the collecting
 /// search that predates the visitor; any change to the order, the cap
-/// point or the `explored` count shows up here. The last three rows are
-/// the footprint patterns the `compile-scaling` benchmark's diversify
-/// step searches (its devices and calibrations, at its 200,000 cap where
-/// it applies one), pinned from the exhaustive VF2 search.
+/// point or the `explored` count shows up here. The `vf2` rows were taken
+/// from the exhaustive VF2 engine that preceded the single search; the
+/// last three of them are the footprint patterns the `compile-scaling`
+/// benchmark's diversify step searches (its devices and calibrations, at
+/// its 200,000 cap where it applies one).
 #[test]
 fn enumeration_order_is_pinned() {
     let star = Topology::new(4, &[(0, 1), (0, 2), (0, 3)]);

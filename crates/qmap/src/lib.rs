@@ -11,8 +11,9 @@
 //! - [`placement`] — variation-aware initial placement, including swap-free
 //!   embedding ranking ([`placement::score_embeddings`] is the engine
 //!   behind both the best swap-free placement and EDM's top-K mapping
-//!   selection; it streams embeddings from exhaustive VF2 or the budgeted
-//!   FDLS search via [`MapperSelection`] and reports pool completeness),
+//!   selection; it streams embeddings from the one embedding search,
+//!   exhaustive or budgeted by [`MapperSelection`], and reports pool
+//!   completeness),
 //! - [`router`] — SWAP insertion along reliability-optimal (Dijkstra) paths,
 //!   with a swap-count-minimizing baseline strategy,
 //! - [`Transpiler`] — the end-to-end pipeline producing device-basis

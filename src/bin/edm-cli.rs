@@ -26,7 +26,7 @@ use edm_core::{
 };
 use edm_serve::{exitcode, flags, validate};
 use qcir::{draw, qasm, Circuit};
-use qdevice::mapper::SearchOutcome;
+use qdevice::mapper::{MapperSelection, SearchOutcome};
 use qdevice::{persist, presets, DeviceModel, Topology};
 use qmap::Transpiler;
 use qsim::{ideal, NoisySimulator};
@@ -530,10 +530,11 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
     let (members, outcome) =
         edm_core::diversify_detailed(&transpiler, &out.physical, &config).map_err(CliError::run)?;
 
+    let selection = transpiler.mapper_selection();
     println!(
         "device: {device_name} ({} qubits)  mapper: {}",
         device.topology().num_qubits(),
-        transpiler.mapper_selection().describe(device.topology())
+        selection.describe(device.topology())
     );
     println!(
         "circuit: {} logical qubits, {} swaps inserted, baseline ESP {:.4e}",
@@ -543,6 +544,15 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
     );
     match outcome {
         SearchOutcome::Complete => println!("search: complete"),
+        // The exhaustive search has no budgets: only the cap stops it.
+        SearchOutcome::Truncated { explored }
+            if selection.resolve(device.topology()) == MapperSelection::Exhaustive =>
+        {
+            println!(
+                "search: truncated (result cap of {} embeddings reached after {explored} node expansions)",
+                config.max_candidates
+            );
+        }
         SearchOutcome::Truncated { explored } => {
             println!("search: truncated (budget hit after {explored} node expansions)");
         }

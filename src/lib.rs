@@ -5,7 +5,7 @@
 //! Orchestrating Dissimilar Mistakes"* (Tannu & Qureshi, MICRO 2019):
 //!
 //! - [`qcir`] — circuit IR
-//! - [`qdevice`] — device topologies, calibration, VF2 subgraph isomorphism
+//! - [`qdevice`] — device topologies, calibration, subgraph-isomorphism embedding search
 //! - [`qsim`] — noisy state-vector simulator with correlated error channels
 //! - [`qmap`] — variation-aware placement and A* SWAP routing
 //! - [`edm_core`] — the EDM/WEDM ensemble machinery and metrics

@@ -219,6 +219,28 @@ fn non_finite_gate_angle_is_a_data_error() {
     assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
 }
 
+#[test]
+fn exhaustive_map_names_the_result_cap_not_a_budget() {
+    // ghz-12 on tokyo20 has more swap-free embeddings than the 200,000
+    // candidate cap; the exhaustive search has no budget to hit.
+    let out = run_cli(&["map", "--bench", "ghz-12", "--device", "tokyo20"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("mapper: exhaustive"),
+        "stdout was: {stdout}"
+    );
+    let search = stdout
+        .lines()
+        .find(|line| line.starts_with("search: "))
+        .unwrap_or_else(|| panic!("no search line: {stdout}"));
+    assert!(
+        search.starts_with("search: truncated (result cap of 200000 embeddings reached after "),
+        "search line was: {search}"
+    );
+    assert!(!search.contains("budget"), "search line was: {search}");
+}
+
 /// Every number printed after `label` on the lines of `stdout`.
 fn values_after<'a>(stdout: &'a str, label: &str) -> Vec<&'a str> {
     stdout
