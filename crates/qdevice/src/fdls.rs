@@ -115,8 +115,9 @@ impl FdlsConfig {
 /// [`SearchOutcome::Complete`].
 ///
 /// `visit` returns the cut. With no budgets and no result cap (nothing
-/// counts the embeddings below a placement) a placement whose running
-/// product falls below the last cut is not extended. Returns the outcome,
+/// counts the embeddings below a placement) a placement is not extended
+/// when its running product times the [`Weights::rest`] bound on the
+/// factors still to come falls below the last cut. Returns the outcome,
 /// the number of embeddings visited and the number of placements cut.
 pub(crate) fn search<W: Weights>(
     pattern: &Topology,
@@ -169,10 +170,13 @@ pub(crate) fn search<W: Weights>(
     // the cap actually clipped the pool.
     let order = matching_order(pattern);
     let (pattern_adj, target_adj) = (Adjacency::new(pattern), Adjacency::new(target));
+    let rest = weights.rest(&order);
+    debug_assert_eq!(rest.len(), pn + 1);
     let mut s = Search {
         pattern: &pattern_adj,
         target: &target_adj,
         order: &order,
+        rest: &rest,
         cand_list: &cand_list,
         cand_mask: &cand_mask,
         mapping: vec![u32::MAX; pn],
@@ -190,6 +194,7 @@ pub(crate) fn search<W: Weights>(
         expansions: 0,
         budget_end: 0,
         deepest: 0,
+        limits_backtrack: config.backtrack_depth != u32::MAX,
         config: *config,
         stop: false,
         abandon: false,
@@ -321,6 +326,9 @@ struct Search<'a, W, F> {
     pattern: &'a Adjacency,
     target: &'a Adjacency,
     order: &'a [u32],
+    /// `rest[d]` bounds the product of the factors still to come once the
+    /// first `d` vertices of `order` are placed.
+    rest: &'a [f64],
     cand_list: &'a [Vec<u32>],
     cand_mask: &'a [Vec<bool>],
     mapping: Vec<u32>,
@@ -344,7 +352,12 @@ struct Search<'a, W, F> {
     /// The expansion count at which the node budget or the current
     /// root's budget runs out, whichever comes first.
     budget_end: u64,
+    /// The deepest level reached under the current root, tracked only
+    /// when `limits_backtrack`.
     deepest: usize,
+    /// Whether the backtrack limit can fire: with `u32::MAX` levels it
+    /// never does, and neither `deepest` nor the limit is looked at.
+    limits_backtrack: bool,
     config: FdlsConfig,
     /// Global stop: node budget exhausted or result cap overflowed.
     stop: bool,
@@ -384,7 +397,9 @@ impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
             }
             return;
         }
-        self.deepest = self.deepest.max(depth);
+        if self.limits_backtrack {
+            self.deepest = self.deepest.max(depth);
+        }
         let v = self.order[depth];
         // Candidate targets: if v has mapped neighbors, the filtered
         // target-neighbors of one mapped image; otherwise every filtered
@@ -436,7 +451,9 @@ impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
         // Depth-limited backtracking: once the subtree below has been
         // and gone, retreating far below the deepest point means we'd
         // only re-enumerate local permutations — move to the next root.
-        if (self.deepest - depth) as u64 > u64::from(self.config.backtrack_depth) {
+        if self.limits_backtrack
+            && (self.deepest - depth) as u64 > u64::from(self.config.backtrack_depth)
+        {
             self.truncated = true;
             self.abandon = true;
             return false;
@@ -445,13 +462,14 @@ impl<W: Weights, F: FnMut(&[u32], f64) -> f64> Search<'_, W, F> {
     }
 
     /// Weighs placing pattern vertex `v` on target `t`, cuts the placement
-    /// if its running product falls below the cut, charges it against the
-    /// budgets and searches below it. Returns false once this level must
-    /// stop (global stop or root abandoned).
+    /// if its running product times the bound on what is still to come
+    /// falls below the cut, charges it against the budgets and searches
+    /// below it. Returns false once this level must stop (global stop or
+    /// root abandoned).
     #[inline(always)]
     fn place(&mut self, depth: usize, v: u32, t: u32, product: f64) -> bool {
         let product = product * self.weights.place(v, t, &self.mapping);
-        if self.prunes && product < self.cut {
+        if self.prunes && product * self.rest[depth + 1] < self.cut {
             self.pruned += 1;
             return true;
         }

@@ -160,14 +160,24 @@ pub fn for_each_embedding(
 /// The factors of a product score over embeddings, placement by placement.
 ///
 /// Every factor must lie in `[0, 1]`: the running product of a partial
-/// embedding then bounds the product of every completion of it, which is
-/// what lets [`for_each_weighted`] cut subtrees.
+/// embedding then bounds the product of every completion of it, and
+/// [`Weights::rest`] tightens that bound by what is still to come, which
+/// is what lets [`for_each_weighted`] cut subtrees.
 pub trait Weights {
     /// The factor placing pattern vertex `v` on target qubit `t` adds,
     /// given the partial `mapping` (`u32::MAX` where a vertex is not yet
     /// placed; `v` itself is not): `v`'s own factor times one factor per
     /// pattern edge to an already placed neighbour.
     fn place(&self, v: u32, t: u32, mapping: &[u32]) -> f64;
+
+    /// Upper bounds, per depth of the search's matching `order`, on the
+    /// factors still to come: `rest[d]` bounds the product of every factor
+    /// [`Weights::place`] adds for `order[d..]`, times whatever the caller
+    /// multiplies into a complete embedding afterwards (`rest[order.len()]`).
+    /// The default, all ones, bounds nothing beyond the `[0, 1]` range.
+    fn rest(&self, order: &[u32]) -> Vec<f64> {
+        vec![1.0; order.len() + 1]
+    }
 }
 
 /// Every factor 1: the plain search.
@@ -187,8 +197,9 @@ impl Weights for Unweighted {
 ///
 /// Subtrees are cut only where nothing counts the embeddings below them:
 /// a search with no budgets and no result cap (`max_results ==
-/// usize::MAX`). There a placement whose running product falls below the
-/// cut is not extended, and the returned count is the number of such
+/// usize::MAX`). There a placement is not extended when its running
+/// product times the [`Weights::rest`] bound for the next depth falls
+/// below the cut, and the returned count is the number of such
 /// placements. Under a result cap or budgets nothing is cut, so the
 /// enumeration order, the cap point and `explored` stay those of
 /// [`for_each_embedding`]; the caller applies the cut to the products it

@@ -9,9 +9,9 @@
 //!   compiles a circuit once into its ESP term list so any embedding can
 //!   be scored without building its relabeled circuit,
 //! - [`placement`] — variation-aware initial placement, including swap-free
-//!   embedding ranking ([`placement::score_embeddings`] is the engine
-//!   behind both the best swap-free placement and EDM's top-K mapping
-//!   selection; it streams embeddings from the one embedding search,
+//!   embedding ranking ([`placement::rank_embeddings`] is the one bounded
+//!   pool behind both the best swap-free placement and EDM's top-K mapping
+//!   selection; it runs the one embedding search branch-and-bound on ESP,
 //!   exhaustive or budgeted by [`MapperSelection`], and reports pool
 //!   completeness),
 //! - [`router`] — SWAP insertion along reliability-optimal (Dijkstra) paths,

@@ -94,9 +94,9 @@ impl<'a> Transpiler<'a> {
 
     /// Makes placement and routing avoid drift-quarantined qubits and
     /// links (see `qdevice::drift`): embeddings are enumerated on the
-    /// masked topology, candidate layouts touching a quarantined qubit are
-    /// filtered from ESP ranking, and the greedy mapper places on the
-    /// masked device.
+    /// masked topology, measure-only qubits are never assigned a
+    /// quarantined qubit, and the greedy mapper places on the masked
+    /// device.
     ///
     /// Quarantine is advisory, not absolute: whenever honoring it would
     /// leave *zero* viable mappings (the pattern no longer embeds, the
@@ -120,11 +120,11 @@ impl<'a> Transpiler<'a> {
         self
     }
 
-    /// Selects the embedding engine behind swap-free placement and the
-    /// EDM candidate pool. The default, [`MapperSelection::Auto`], keeps
-    /// devices up to 20 qubits on exhaustive VF2 (bit-identical to the
-    /// historical behavior) and switches larger heavy-hex devices to the
-    /// budgeted filtered depth-limited search.
+    /// Selects the budgets of the one embedding search behind swap-free
+    /// placement and the EDM candidate pool ([`placement::rank_embeddings`]).
+    /// The default, [`MapperSelection::Auto`], searches devices up to 20
+    /// qubits exhaustively, branch-and-bound on ESP, and gives larger
+    /// heavy-hex devices the filtered depth-limited search's budgets.
     pub fn with_mapper(mut self, mapper: MapperSelection) -> Self {
         self.mapper = mapper;
         self
@@ -182,26 +182,16 @@ impl<'a> Transpiler<'a> {
     }
 
     /// The ESP-best swap-free placement honoring the quarantine, if any
-    /// exists.
+    /// exists: the masked graph keeps the interacting qubits off
+    /// quarantined links, and no measure-only program qubit is assigned a
+    /// quarantined (now isolated) qubit.
     fn swap_free_layout(&self, basis: &Circuit) -> Result<Option<Layout>, MapError> {
-        let Some(quarantine) = &self.quarantine else {
-            return placement::best_swap_free_placement_with(
-                basis,
-                self.topology,
-                self.calibration,
-                self.mapper,
-            );
-        };
-        // Enumerating on the masked graph already avoids quarantined links;
-        // the footprint filter additionally rejects layouts parking a
-        // (now isolated) quarantined qubit under a measure-only program
-        // qubit.
-        placement::best_placement_where(
+        placement::best_placement(
             basis,
             self.effective_topology(),
             self.calibration,
             self.mapper,
-            |phi| quarantine.allows_footprint(phi),
+            self.quarantine.as_ref(),
         )
     }
 

@@ -26,7 +26,7 @@ use edm_core::{
 };
 use edm_serve::{exitcode, flags, validate};
 use qcir::{draw, qasm, Circuit};
-use qdevice::mapper::{MapperSelection, SearchOutcome};
+use qdevice::mapper::SearchOutcome;
 use qdevice::{persist, presets, DeviceModel, Topology};
 use qmap::Transpiler;
 use qsim::{ideal, NoisySimulator};
@@ -544,15 +544,6 @@ fn cmd_map(args: &[String]) -> Result<(), CliError> {
     );
     match outcome {
         SearchOutcome::Complete => println!("search: complete"),
-        // The exhaustive search has no budgets: only the cap stops it.
-        SearchOutcome::Truncated { explored }
-            if selection.resolve(device.topology()) == MapperSelection::Exhaustive =>
-        {
-            println!(
-                "search: truncated (result cap of {} embeddings reached after {explored} node expansions)",
-                config.max_candidates
-            );
-        }
         SearchOutcome::Truncated { explored } => {
             println!("search: truncated (budget hit after {explored} node expansions)");
         }

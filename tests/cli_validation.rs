@@ -220,9 +220,10 @@ fn non_finite_gate_angle_is_a_data_error() {
 }
 
 #[test]
-fn exhaustive_map_names_the_result_cap_not_a_budget() {
-    // ghz-12 on tokyo20 has more swap-free embeddings than the 200,000
-    // candidate cap; the exhaustive search has no budget to hit.
+fn exhaustive_map_ranks_the_whole_pool() {
+    // ghz-12 on tokyo20 has over a million swap-free embeddings; the
+    // ranking search has no result cap, so the exhaustive search
+    // completes, and its best member is the transpiler's baseline.
     let out = run_cli(&["map", "--bench", "ghz-12", "--device", "tokyo20"]);
     assert!(out.status.success(), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -230,15 +231,18 @@ fn exhaustive_map_names_the_result_cap_not_a_budget() {
         stdout.contains("mapper: exhaustive"),
         "stdout was: {stdout}"
     );
-    let search = stdout
-        .lines()
-        .find(|line| line.starts_with("search: "))
-        .unwrap_or_else(|| panic!("no search line: {stdout}"));
     assert!(
-        search.starts_with("search: truncated (result cap of 200000 embeddings reached after "),
-        "search line was: {search}"
+        stdout.lines().any(|line| line == "search: complete"),
+        "stdout was: {stdout}"
     );
-    assert!(!search.contains("budget"), "search line was: {search}");
+    let baseline = values_after(&stdout, "baseline ESP ");
+    let member_0 = stdout
+        .lines()
+        .find(|line| line.starts_with("member 0: "))
+        .and_then(|line| line.split_once("ESP "))
+        .map(|(_, esp)| esp);
+    assert_eq!(baseline.len(), 1, "stdout was: {stdout}");
+    assert_eq!(member_0, Some(baseline[0]), "stdout was: {stdout}");
 }
 
 /// Every number printed after `label` on the lines of `stdout`.
